@@ -4,18 +4,17 @@ Conventions shared by the whole package:
 
 * A measure space is a finite list of points; point ``j`` carries a strictly
   positive weight ``w[j]`` and the total mass is ``sum(w)``.
-* Exponents are floats in ``[1, inf)``.  ``math.inf`` is the distinguished
-  supremum exponent: it is never used as a power, and every exponent loop in
-  the package branches on it explicitly.
+* Exponents are floats in ``[1, inf)`` or ``INFINITY`` (``math.inf``), the
+  supremum exponent.
 * ``lp_norm(f, p) = (sum_j w[j] * |f[j]|**p) ** (1/p)`` for finite ``p``,
   and ``max_j |f[j]|`` at ``p = inf`` (all weights are positive, so the
   essential supremum is the plain maximum).
 
-Large exponents are evaluated in rescaled form,
-``M * (sum_j w[j] * (|f[j]|/M)**p)**(1/p)`` with ``M = max|f|``; the scaled
-powers switch to ``exp(p * log(x))`` above ``p = 50``.  Rescaling keeps the
-whole computation overflow-free for ``p`` up to ``1e4`` and beyond.  Sums
-use ``math.fsum`` once a space exceeds 1000 points.
+Every p-norm in the package is evaluated by one kernel, ``_row_norms``, in
+rescaled form ``M * (sum_j w[j] * exp(p * log(|f[j]|/M)))**(1/p)`` with
+``M = max|f|``.  Rescaling keeps the computation overflow-free for ``p`` up
+to ``1e4`` and beyond; every term is nonnegative, so numpy's pairwise
+summation is accurate to a few ulps at any size.  ``INFINITY`` gives ``M``.
 """
 from __future__ import annotations
 
@@ -28,11 +27,6 @@ from typing import Sequence
 import numpy as np
 
 INFINITY = math.inf
-
-#: switch from direct powers to exp(p * log x) above this exponent
-_POW_SWITCH = 50.0
-#: switch from numpy pairwise summation to math.fsum above this size
-_FSUM_SIZE = 1000
 
 
 def as_exponent(p: float) -> float:
@@ -118,51 +112,41 @@ class GridFunction:
         return GridFunction(self.space, self.values * float(c))
 
 
-def _scaled_powers(scaled: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Powers of values in [0, 1]: direct for small p, exp(p*log x) above 50."""
-    out = np.empty(scaled.shape + (ps.size,))
-    small = ps <= _POW_SWITCH
-    if small.any():
-        out[..., small] = scaled[..., None] ** ps[small]
-    if (~small).any():
-        with np.errstate(divide="ignore"):
-            logs = np.log(scaled)  # -inf at zeros; exp(p * -inf) = 0
-        out[..., ~small] = np.exp(logs[..., None] * ps[~small])
-    return out
+def _row_norms(V: np.ndarray, w: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Weighted p-norms of the rows of ``V`` (shape ``(m, n)``).
+
+    ``ps`` broadcasts against ``(m, 1)``: a 1-d array of ``k`` exponents
+    gives the ``(m, k)`` table, an ``(m, 1)`` column one exponent per row.
+    Exponents are not validated; INFINITY gives the row maximum.
+    """
+    absv = np.abs(V)
+    mx = absv.max(axis=1, keepdims=True)
+    inf = np.isinf(ps)
+    if inf.all():
+        return np.where(inf, mx, 0.0)  # skips the log/exp work
+    fin = np.where(inf, 1.0, ps)
+    with np.errstate(divide="ignore"):
+        logs = np.log(absv / np.where(mx > 0.0, mx, 1.0))  # -inf at zeros
+    terms = fin[..., None] * logs[:, None, :]
+    np.exp(terms, out=terms)
+    terms *= w
+    out = mx * terms.sum(axis=-1) ** (1.0 / fin)
+    return np.where(inf, mx, out) if inf.any() else out
 
 
 def lp_norm_table(values, weights, ps) -> np.ndarray:
-    """Weighted p-norms of one or many value vectors at many finite exponents.
+    """Weighted p-norms of one or many value vectors at many exponents.
 
     ``values`` has shape ``(n,)`` or ``(m, n)``; the result has shape
-    ``(len(ps),)`` or ``(m, len(ps))``.  All exponents must be finite and
-    >= 1; the INFINITY exponent is handled by the callers.
+    ``(len(ps),)`` or ``(m, len(ps))``.  Exponents must be >= 1 and may be
+    INFINITY.
     """
     V = np.asarray(values, dtype=float)
-    single = V.ndim == 1
-    V = np.atleast_2d(V)
-    w = np.asarray(weights, dtype=float)
     ps = np.asarray(ps, dtype=float).ravel()
-    if ps.size == 0:
-        return np.zeros((V.shape[0], 0)) if not single else np.zeros(0)
-    if np.any(np.isnan(ps)) or np.any(np.isinf(ps)) or np.any(ps < 1.0):
-        raise ValueError("lp_norm_table requires finite exponents >= 1")
-    absv = np.abs(V)
-    mx = absv.max(axis=1)
-    out = np.zeros((V.shape[0], ps.size))
-    pos = mx > 0.0
-    if pos.any():
-        scaled = absv[pos] / mx[pos, None]
-        terms = _scaled_powers(scaled, ps) * w[None, :, None]
-        if w.size > _FSUM_SIZE:
-            sums = np.array(
-                [[math.fsum(terms[i, :, j]) for j in range(ps.size)]
-                 for i in range(terms.shape[0])]
-            )
-        else:
-            sums = terms.sum(axis=1)
-        out[pos] = mx[pos, None] * sums ** (1.0 / ps)[None, :]
-    return out[0] if single else out
+    if np.any(np.isnan(ps)) or np.any(ps < 1.0):
+        raise ValueError("lp_norm_table requires exponents >= 1")
+    out = _row_norms(np.atleast_2d(V), np.asarray(weights, dtype=float), ps)
+    return out[0] if V.ndim == 1 else out
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
@@ -171,9 +155,6 @@ def lp_norm(f: GridFunction, p: float) -> float:
     Returns ``(sum_j w[j] |f[j]|**p)**(1/p)``; at ``p = INFINITY`` the
     maximum of ``|f|`` over the (everywhere positively weighted) points.
     """
-    p = as_exponent(p)
-    if is_infinite(p):
-        return float(np.abs(f.values).max())
     return float(lp_norm_table(f.values, f.space.weights, [p])[0])
 
 

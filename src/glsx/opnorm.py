@@ -27,8 +27,8 @@ import numpy as np
 from . import _parallel
 from .genfun import ExponentInterval, GeneratingFunction
 from .gls import _golden_max, exponent_grid
-from .measure import (INFINITY, GridFunction, MeasureSpace, as_exponent,
-                      is_infinite, lp_norm_table)
+from .measure import (INFINITY, GridFunction, MeasureSpace, _row_norms,
+                      as_exponent, is_infinite)
 
 
 def inv_exponent(p: float) -> float:
@@ -109,33 +109,6 @@ def apply(A: MatrixOperator, g: GridFunction) -> GridFunction:
     return GridFunction(A.target, A.entries @ g.values)
 
 
-def _colnorms(H: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    """Weighted p-norms of the columns of H."""
-    if is_infinite(p):
-        return np.abs(H).max(axis=0)
-    return lp_norm_table(H.T, w, [p])[:, 0]
-
-
-def _colnorms_pc(H: np.ndarray, w: np.ndarray, pc: np.ndarray) -> np.ndarray:
-    """Weighted p-norms of the columns of H, exponent pc[c] per column."""
-    absh = np.abs(H)
-    out = np.empty(H.shape[1])
-    inf = np.isinf(pc)
-    if inf.any():
-        out[inf] = absh[:, inf].max(axis=0)
-    fin = ~inf
-    if fin.any():
-        Hf = absh[:, fin]
-        pf = pc[fin]
-        mx = Hf.max(axis=0)
-        safe = np.where(mx > 0.0, mx, 1.0)
-        with np.errstate(divide="ignore"):
-            logs = np.log(Hf / safe)  # -inf at zeros -> exp gives 0
-        sums = (w[:, None] * np.exp(logs * pf[None, :])).sum(axis=0)
-        out[fin] = mx * sums ** (1.0 / pf)
-    return out
-
-
 def _dual_target_pc(H: np.ndarray, w: np.ndarray, pc: np.ndarray) -> np.ndarray:
     """Columnwise ascent direction of the weighted p-norm at H (unscaled)."""
     U = np.empty_like(H)
@@ -185,7 +158,7 @@ def _dual_source_pc(Z: np.ndarray, w: np.ndarray, qc: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             logs = np.log(T / mx)
         B = np.exp(logs * (1.0 / (qc[rest] - 1.0))[None, :]) * np.sign(Z[:, rest])
-        norms = _colnorms_pc(B, w, qc[rest])
+        norms = _row_norms(B.T, w, qc[rest, None])[:, 0]
         norms[norms == 0.0] = 1.0
         G[:, rest] = B / norms
     return G
@@ -202,7 +175,7 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     two-cycles at the corner exponents), or when its pullback dies.
     """
     n_cols = G.shape[1]
-    g0 = _colnorms_pc(G, nu, qc)
+    g0 = _row_norms(G.T, nu, qc[:, None])[:, 0]
     G = G / np.where(g0 > 0.0, g0, 1.0)
     best = np.zeros(n_cols)
     best_G = G.copy()
@@ -214,8 +187,8 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
         Ga = G[:, idx]
         qa, pa = qc[idx], pc[idx]
         H = E @ Ga
-        gn = _colnorms_pc(Ga, nu, qa)
-        hn = _colnorms_pc(H, mu, pa)
+        gn = _row_norms(Ga.T, nu, qa[:, None])[:, 0]
+        hn = _row_norms(H.T, mu, pa[:, None])[:, 0]
         ok = gn > 0.0
         ratio = np.zeros(idx.size)
         ratio[ok] = hn[ok] / gn[ok]
@@ -327,26 +300,31 @@ _QNORM_CACHE: dict = {}
 def _oracle_directions(n: int, resolution: int) -> np.ndarray:
     """Cached nonnegative direction grid for an n-dimensional source."""
     key = (n, resolution)
-    if key not in _DIRECTION_CACHE:
+    base = _DIRECTION_CACHE.get(key)
+    if base is None:
         if n == 1:
             base = np.ones((1, 1))
         else:
             theta = np.linspace(0.0, math.pi / 2.0, int(resolution))
             base = _angles_to_directions([theta] * (n - 1))
+        # another thread_map worker may clear the cache at any time, so the
+        # value is returned from this local, never re-read from the dict
         if len(_DIRECTION_CACHE) >= 8:
             _DIRECTION_CACHE.clear()
         _DIRECTION_CACHE[key] = base
-    return _DIRECTION_CACHE[key]
+    return base
 
 
 def _oracle_qnorms(base: np.ndarray, nu: np.ndarray, q: float,
                    resolution: int) -> np.ndarray:
     key = (base.shape[0], resolution, nu.tobytes(), q)
-    if key not in _QNORM_CACHE:
+    qn = _QNORM_CACHE.get(key)
+    if qn is None:
+        qn = _row_norms(base.T, nu, np.array([q]))[:, 0]
         if len(_QNORM_CACHE) >= 32:
             _QNORM_CACHE.clear()
-        _QNORM_CACHE[key] = _colnorms(base, nu, q)
-    return _QNORM_CACHE[key]
+        _QNORM_CACHE[key] = qn
+    return qn
 
 
 def op_norm_oracle_table(A: MatrixOperator, qs: Sequence[float],
@@ -383,7 +361,7 @@ def op_norm_oracle_table(A: MatrixOperator, qs: Sequence[float],
     # classical extremizer candidates: the constant direction and every
     # basis direction (cube corners and spikes of the source unit balls)
     extra = np.hstack([np.ones((n_y, 1)) / math.sqrt(n_y), np.eye(n_y)])
-    extra_qn = {qv: _colnorms(extra, nu, qv) for qv in set(qs)}
+    extra_qn = {qv: _row_norms(extra.T, nu, np.array([qv]))[:, 0] for qv in set(qs)}
 
     # best (value, angles, sign pattern) per pair over all patterns
     best: dict = {pair: (-1.0, np.zeros(max(n_y - 1, 0)), patterns[0]) for pair in
@@ -391,8 +369,8 @@ def op_norm_oracle_table(A: MatrixOperator, qs: Sequence[float],
     for sign in patterns:
         H = (E * sign[None, :]) @ base
         He = (E * sign[None, :]) @ extra
-        pn = {p: _colnorms(H, mu, p) for p in set(ps)}
-        pe = {p: _colnorms(He, mu, p) for p in set(ps)}
+        pn = {p: _row_norms(H.T, mu, np.array([p]))[:, 0] for p in set(ps)}
+        pe = {p: _row_norms(He.T, mu, np.array([p]))[:, 0] for p in set(ps)}
         for qv in qs:
             for p in ps:
                 vals = pn[p] / qn[qv]
@@ -417,11 +395,12 @@ def op_norm_oracle_table(A: MatrixOperator, qs: Sequence[float],
             return best_val
         theta = theta0.copy()
         Es = E * sign[None, :]
+        q_arr, p_arr = np.array([qv]), np.array([p])
 
         def ratio_at(t: np.ndarray) -> float:
             g = _direction_from_angles(t)
-            gn = _colnorms(g[:, None], nu, qv)[0]
-            hn = _colnorms((Es @ g)[:, None], mu, p)[0]
+            gn = _row_norms(g[None, :], nu, q_arr)[0, 0]
+            hn = _row_norms((Es @ g)[None, :], mu, p_arr)[0, 0]
             return hn / gn
 
         for _ in range(3):
@@ -479,17 +458,6 @@ class OperatorBoundCertificate:
             raise ValueError("C must be a positive finite real")
 
 
-def _norm_profiles(V: np.ndarray, w: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Row profiles ||v||_p for every row of V and every exponent in pts."""
-    finite = np.isfinite(pts)
-    out = np.empty((V.shape[0], pts.size))
-    if finite.any():
-        out[:, finite] = lp_norm_table(V, w, pts[finite])
-    if (~finite).any():
-        out[:, ~finite] = np.abs(V).max(axis=1, keepdims=True)
-    return out
-
-
 def _candidate_functions(n: int, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Random normal samples plus the deterministic extremal candidates."""
     gs = rng.standard_normal((int(samples), n))
@@ -528,8 +496,8 @@ def check_sigma_condition(A: MatrixOperator, cert: OperatorBoundCertificate,
     rng = np.random.default_rng(seed)
     G = _candidate_functions(A.source.size, samples, rng)
     H = G @ A.entries.T
-    PN = _norm_profiles(H, A.target.weights, p_pts)  # (S, P)
-    QN = _norm_profiles(G, A.source.weights, q_pts)  # (S, Q)
+    PN = _row_norms(H, A.target.weights, p_pts)  # (S, P)
+    QN = _row_norms(G, A.source.weights, q_pts)  # (S, Q)
 
     inv_p = np.array([inv_exponent(p) for p in p_pts])
     inv_q = np.array([inv_exponent(qv) for qv in q_pts])
@@ -649,8 +617,8 @@ def _verify_extrapolation(A: MatrixOperator, sigma: float,
     rng = np.random.default_rng(seed)
     G = _candidate_functions(A.source.size, samples, rng)
     H = G @ A.entries.T
-    L = lhs_norms(_norm_profiles(H, A.target.weights, p_pts)) / phi_lhs
-    R = cbar * rhs_norms(_norm_profiles(G, A.source.weights, q_pts)) / phi_rhs
+    L = lhs_norms(_row_norms(H, A.target.weights, p_pts)) / phi_lhs
+    R = cbar * rhs_norms(_row_norms(G, A.source.weights, q_pts)) / phi_rhs
 
     violations = []
     max_ratio = 0.0
@@ -717,7 +685,7 @@ def verify_theorem1(A: MatrixOperator, cert: OperatorBoundCertificate,
     phi_lhs, lhs_flag = lhs_fund(delta)
     phi_rhs, rhs_flag = rhs_fund(delta)
     if (lhs_flag and p_pts.size > 1) or (rhs_flag and q_pts.size > 1):
-        raise RuntimeError(
+        raise ValueError(
             "fundamental function attained its maximum at the last grid point; "
             "it may diverge toward the interval boundary and the inequality "
             "normalization cannot be trusted"

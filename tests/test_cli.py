@@ -169,9 +169,21 @@ class TestErrorHandling:
 
     def test_malformed_psi(self, inputs, tmp_path, capsys):
         bad = tmp_path / "bad_psi.json"
-        bad.write_text(json.dumps({"kind": "mystery"}))
-        assert run(["gls-norm", "--function", inputs["f"], "--psi", str(bad),
+        # an unknown kind, and a field of the wrong type
+        for spec in ({"kind": "mystery"}, {"kind": "power", "m": [1, 2]}):
+            bad.write_text(json.dumps(spec))
+            assert run(["gls-norm", "--function", inputs["f"], "--psi", str(bad),
+                        "--output", out_path(inputs, "x.json")]) == 2
+
+    def test_endpoint_flagged_normalization(self, inputs, tmp_path, capsys):
+        # this psi's fundamental value at 1/sigma peaks at the last grid point
+        psi = tmp_path / "psi_flag.json"
+        psi.write_text(json.dumps({"kind": "boundary", "b": 8, "alpha": 1,
+                                   "beta": 0, "domain": [4, 8]}))
+        assert run(["verify-theorem1", "--matrix", inputs["A"], "--psi", str(psi),
+                    "--nu", inputs["nu12"], "--sigma", "2", "--samples", "50",
                     "--output", out_path(inputs, "x.json")]) == 2
+        assert "last grid point" in capsys.readouterr().err
 
     def test_bad_exponent(self, inputs, capsys):
         assert run(["opnorm", "--matrix", inputs["A"], "--q", "0.5", "--p", "2",

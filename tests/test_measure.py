@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from glsx import (INFINITY, GridFunction, MeasureSpace, grid_function_from_spec,
-                  lp_norm, tail_function)
+                  lp_norm, lp_norm_table, tail_function)
+from glsx.measure import _row_norms
 
 finite_values = st.lists(
     st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
@@ -95,11 +96,57 @@ class TestLpNorm:
         assert val == pytest.approx(2e200, rel=1e-3)
 
     def test_large_space_summation(self):
-        # n > 1000 switches to exact compensated summation
+        # large spaces use the same pairwise summation as small ones
         n = 2500
         f = counting([1.0] * n)
         assert lp_norm(f, 2) == pytest.approx(math.sqrt(n), rel=1e-14)
         assert lp_norm(f, 1) == pytest.approx(n, rel=1e-15)
+
+
+def _fsum_norm(v, w, p):
+    """Reference weighted p-norm with exactly rounded summation."""
+    a = np.abs(v)
+    if math.isinf(p):
+        return float(a.max())
+    m = float(a.max())
+    return m * math.fsum((w * (a / m) ** p).tolist()) ** (1.0 / p)
+
+
+class TestLpNormTable:
+    EXPONENTS = (1.0, 1.5, 60.0, 1e3, INFINITY)
+
+    @pytest.mark.parametrize("n", [999, 1001, 4000])
+    def test_table_matches_fsum(self, n):
+        rng = np.random.default_rng(n)
+        V = rng.standard_normal((3, n))
+        w = rng.uniform(0.1, 2.0, n)
+        got = lp_norm_table(V, w, self.EXPONENTS)
+        assert got.shape == (3, len(self.EXPONENTS))
+        for i in range(3):
+            for j, p in enumerate(self.EXPONENTS):
+                assert got[i, j] == pytest.approx(_fsum_norm(V[i], w, p), rel=1e-13)
+        assert np.array_equal(lp_norm_table(V[1], w, self.EXPONENTS), got[1])
+
+    @pytest.mark.parametrize("n", [999, 1001, 4000])
+    def test_per_row_exponents_match_fsum(self, n):
+        rng = np.random.default_rng(n + 1)
+        ps = np.array(self.EXPONENTS)
+        V = rng.standard_normal((ps.size, n))
+        w = rng.uniform(0.1, 2.0, n)
+        got = _row_norms(V, w, ps[:, None])
+        assert got.shape == (ps.size, 1)
+        for i, p in enumerate(ps):
+            assert got[i, 0] == pytest.approx(_fsum_norm(V[i], w, p), rel=1e-13)
+
+    def test_zero_rows_and_empty_exponents(self):
+        got = lp_norm_table([[0.0, 0.0], [3.0, -4.0]], [1.0, 1.0], [2.0, INFINITY])
+        assert np.array_equal(got, [[0.0, 0.0], [5.0, 4.0]])
+        assert lp_norm_table([1.0, 2.0], [1.0, 1.0], []).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.5, 0.0, -INFINITY])
+    def test_rejects_nan_and_small_exponents(self, bad):
+        with pytest.raises(ValueError):
+            lp_norm_table([1.0, 2.0], [1.0, 1.0], [2.0, bad])
 
 
 class TestTailFunction:

@@ -8,6 +8,7 @@ from glsx import (INFINITY, GridFunction, MatrixOperator, MeasureSpace,
                   make_boundary, make_power, minimal_constant, op_norm_lower,
                   op_norm_oracle, operator_from_spec, restrict,
                   verify_theorem1)
+from glsx import opnorm
 from glsx.gls import exponent_grid
 from glsx.opnorm import op_norm_oracle_table
 
@@ -124,6 +125,20 @@ class TestOracle:
         assert op_norm_oracle(A, 2, 2, resolution=720) == \
             pytest.approx(expected, rel=1e-6)
         assert op_norm_lower(A, 2, 2).value == pytest.approx(expected, rel=1e-9)
+
+    def test_caches_survive_concurrent_clear(self, monkeypatch):
+        # another thread_map worker may clear a cache between the write and
+        # the read; model it with dicts that empty themselves on every write
+        class ClearingDict(dict):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                self.clear()
+
+        A = MatrixOperator.on_counting([[1.0, 2.0], [0.5, 1.0]])
+        want = op_norm_oracle(A, 2, 4, resolution=90)
+        monkeypatch.setattr(opnorm, "_DIRECTION_CACHE", ClearingDict())
+        monkeypatch.setattr(opnorm, "_QNORM_CACHE", ClearingDict())
+        assert op_norm_oracle(A, 2, 4, resolution=90) == want
 
     def test_interpolation_consistency(self):
         rng = np.random.default_rng(11)
