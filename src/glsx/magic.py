@@ -17,9 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _parallel
 from .measure import MeasureSpace, as_exponent
-from .opnorm import MatrixOperator, inv_exponent, op_norm_oracle
+from .opnorm import MatrixOperator, inv_exponent, op_norm_oracle_table
 
 
 @dataclass(frozen=True)
@@ -193,21 +192,20 @@ def check_super_exact(square: MagicSquare, pairs: Sequence[tuple],
         raise ValueError("check_super_exact requires a valid magic square")
     alpha = square.alpha
     n = square.n
-    tasks = []
-    for raw_q, raw_p in pairs:
-        q, p = sorted((as_exponent(raw_q), as_exponent(raw_p)))
+    pairs = [tuple(sorted((as_exponent(raw_q), as_exponent(raw_p))))
+             for raw_q, raw_p in pairs]
+    exponents = sorted({e for pair in pairs for e in pair})
+    tables = {convention: op_norm_oracle_table(to_operator(square, convention),
+                                               exponents, exponents,
+                                               resolution=resolution)
+              for convention in conventions}
+    rows = []
+    for q, p in pairs:
         formula = magic_norm_formula(n, alpha, q, p)
         for convention in conventions:
-            op = to_operator(square, convention)
-            tasks.append((q, p, convention, "q->p", q, p, op, formula))
-            tasks.append((q, p, convention, "p->q", p, q, op, formula))
-
-    def run(task) -> ConventionRow:
-        q, p, convention, ordering, src, tgt, op, formula = task
-        oracle = op_norm_oracle(op, src, tgt, resolution=resolution)
-        gap = abs(oracle - formula) / formula
-        return ConventionRow(q, p, convention, ordering, src, tgt, oracle,
-                             formula, gap, gap <= match_tol)
-
-    rows = tuple(_parallel.thread_map(run, tasks))
-    return ConventionReport(n, alpha, rows, match_tol)
+            for ordering, src, tgt in (("q->p", q, p), ("p->q", p, q)):
+                oracle = tables[convention][(src, tgt)]
+                gap = abs(oracle - formula) / formula
+                rows.append(ConventionRow(q, p, convention, ordering, src, tgt,
+                                          oracle, formula, gap, gap <= match_tol))
+    return ConventionReport(n, alpha, tuple(rows), match_tol)

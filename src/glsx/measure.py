@@ -15,6 +15,7 @@ rescaled form ``M * (sum_j w[j] * exp(p * log(|f[j]|/M)))**(1/p)`` with
 ``M = max|f|``.  Rescaling keeps the computation overflow-free for ``p`` up
 to ``1e4`` and beyond; every term is nonnegative, so numpy's pairwise
 summation is accurate to a few ulps at any size.  ``INFINITY`` gives ``M``.
+A norm does not depend on which other exponents or rows share its call.
 """
 from __future__ import annotations
 
@@ -117,21 +118,48 @@ def _row_norms(V: np.ndarray, w: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
     ``ps`` broadcasts against ``(m, 1)``: a 1-d array of ``k`` exponents
     gives the ``(m, k)`` table, an ``(m, 1)`` column one exponent per row.
-    Exponents are not validated; INFINITY gives the row maximum.
+    Exponents are not validated; INFINITY gives the row maximum and skips
+    the log/exp work, so only the finite columns (table) or rows (per-row)
+    of a mixed call pay for it.
     """
     absv = np.abs(V)
     mx = absv.max(axis=1, keepdims=True)
     inf = np.isinf(ps)
-    if inf.all():
-        return np.where(inf, mx, 0.0)  # skips the log/exp work
-    fin = np.where(inf, 1.0, ps)
+    n_inf = np.count_nonzero(inf)
+    if n_inf == 0:
+        return _finite_norms(absv, mx, w, ps)
+    if n_inf == inf.size:
+        return np.where(inf, mx, 0.0)
+    fin = np.flatnonzero(~inf)
+    if ps.ndim == 1:
+        out = np.empty((absv.shape[0], ps.size))
+        out[:, inf] = mx
+        out[:, fin] = _finite_norms(absv, mx, w, ps[fin])
+    else:
+        out = mx.copy()
+        out[fin] = _finite_norms(absv.take(fin, 0), mx.take(fin, 0), w,
+                                 ps.take(fin, 0))
+    return out
+
+
+def _finite_norms(absv: np.ndarray, mx: np.ndarray, w: np.ndarray,
+                  ps: np.ndarray) -> np.ndarray:
+    """``_row_norms`` for finite exponents, given ``|V|`` and its row maxima."""
     with np.errstate(divide="ignore"):
         logs = np.log(absv / np.where(mx > 0.0, mx, 1.0))  # -inf at zeros
-    terms = fin[..., None] * logs[:, None, :]
+    terms = ps[..., None] * logs[:, None, :]
     np.exp(terms, out=terms)
     terms *= w
-    out = mx * terms.sum(axis=-1) ** (1.0 / fin)
-    return np.where(inf, mx, out) if inf.any() else out
+    sums = terms.sum(axis=-1)
+    out = sums ** (1.0 / ps)
+    # numpy roots a lone exponent 2 with the correctly rounded sqrt but
+    # several with pow; sqrt for every p = 2 keeps each norm independent of
+    # which exponents share the call
+    two = ps == 2.0
+    if two.any():
+        np.sqrt(sums, out=out, where=two)
+    out *= mx
+    return out
 
 
 def lp_norm_table(values, weights, ps) -> np.ndarray:

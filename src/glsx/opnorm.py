@@ -24,9 +24,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import _parallel
 from .genfun import ExponentInterval, GeneratingFunction
-from .gls import _golden_max, exponent_grid
+from .gls import _INVPHI, _INVPHI2, exponent_grid
 from .measure import (INFINITY, GridFunction, MeasureSpace, _row_norms,
                       as_exponent, is_infinite)
 
@@ -258,25 +257,18 @@ def op_norm_lower(A: MatrixOperator, q: float, p: float, restarts: int = 32,
     return AscentResult(float(best[k]), GridFunction(A.source, best_G[:, k].copy()))
 
 
-def _angles_to_directions(thetas: Sequence[np.ndarray]) -> np.ndarray:
-    """Spherical map from angle grids to nonnegative unit directions."""
-    dim = len(thetas) + 1
-    grids = np.meshgrid(*thetas, indexing="ij") if thetas else []
-    flat = [g.ravel() for g in grids]
-    n = flat[0].size if flat else 1
-    G = np.ones((dim, n))
-    for i in range(dim - 1):
-        G[i] *= np.cos(flat[i])
-        G[i + 1:] *= np.sin(flat[i])
+def _angles_to_directions(angles: np.ndarray) -> np.ndarray:
+    """Spherical map from angles to nonnegative unit directions.
+
+    Column ``j`` of ``angles`` (shape ``(d, N)``) holds the angles of one
+    direction, column ``j`` of the ``(d + 1, N)`` result its coordinates:
+    ``cos(a_i)`` times the product of the earlier sines, taken in order.
+    """
+    G = np.ones((angles.shape[0] + 1, angles.shape[1]))
+    np.cos(angles, out=G[:-1])
+    sines = np.sin(angles)
+    G[1:] *= np.cumprod(sines, axis=0, out=sines)
     return G
-
-
-def _direction_from_angles(theta: np.ndarray) -> np.ndarray:
-    g = np.ones(theta.size + 1)
-    for i, th in enumerate(theta):
-        g[i] *= math.cos(th)
-        g[i + 1:] *= math.sin(th)
-    return g
 
 
 def _angles_from_direction(g: np.ndarray) -> np.ndarray:
@@ -306,9 +298,12 @@ def _oracle_directions(n: int, resolution: int) -> np.ndarray:
             base = np.ones((1, 1))
         else:
             theta = np.linspace(0.0, math.pi / 2.0, int(resolution))
-            base = _angles_to_directions([theta] * (n - 1))
-        # another thread_map worker may clear the cache at any time, so the
-        # value is returned from this local, never re-read from the dict
+            angles = np.reshape(np.meshgrid(*[theta] * (n - 1), indexing="ij"),
+                                (n - 1, -1))
+            base = _angles_to_directions(angles)
+        # glsx runs each oracle on one thread, but a caller may run oracles
+        # on several; any of them may clear the cache at any time, so the
+        # value is returned from this local and never re-read from the dict
         if len(_DIRECTION_CACHE) >= 8:
             _DIRECTION_CACHE.clear()
         _DIRECTION_CACHE[key] = base
@@ -327,12 +322,96 @@ def _oracle_qnorms(base: np.ndarray, nu: np.ndarray, q: float,
     return qn
 
 
+#: elements of the kernel's (columns, exponents, target) temporary per chunk
+#: of the oracle grid pass: 1 MB, which ran faster than smaller or larger
+#: chunks and keeps the pass far below the memory of one unchunked call
+_GRID_CHUNK = 1 << 17
+
+
+def _oracle_polish(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
+                   signs: np.ndarray, theta: np.ndarray, qc: np.ndarray,
+                   pc: np.ndarray, best: np.ndarray, step: float) -> np.ndarray:
+    """Coordinate-wise golden-section polish of many directions in lockstep.
+
+    Row ``i`` is one search: the angles ``theta[i]`` of a direction with
+    sign pattern ``signs[i]``, maximizing the ``qc[i] -> pc[i]`` ratio from
+    the incumbent value ``best[i]``.  Each of 3 rounds searches every angle
+    within one grid ``step`` (clipped to [0, pi/2]) by the golden-section
+    rule of ``gls._golden_max``: 2 + 60 evaluations, a point wins when its
+    value is strictly larger or equal at a smaller angle, and the angle
+    moves only on a strict improvement.  Every step evaluates all rows with
+    one batched product and one kernel call for the source and target norms
+    together (two when the two measures differ).  Returns the polished
+    values.
+    """
+    Es = E[None, :, :] * signs[:, None, :]
+    rows = qc.size
+    shared = mu.shape == nu.shape and np.array_equal(mu, nu)
+    exps = np.concatenate([qc, pc])[:, None]
+
+    def ratios(angles: np.ndarray) -> np.ndarray:
+        G = _angles_to_directions(angles.T).T.copy()
+        H = (Es @ G[:, :, None])[:, :, 0]
+        if shared:
+            norms = _row_norms(np.concatenate([G, H]), nu, exps)[:, 0]
+            return norms[rows:] / norms[:rows]
+        return (_row_norms(H, mu, exps[rows:])[:, 0]
+                / _row_norms(G, nu, exps[:rows])[:, 0])
+
+    theta = theta.copy()
+    for _ in range(3):
+        for axis in range(theta.shape[1]):
+            trial = theta.copy()
+
+            def at(x: np.ndarray) -> np.ndarray:
+                trial[:, axis] = x
+                return ratios(trial)
+
+            # step > 0, so every bracket is a proper interval
+            lo = np.maximum(theta[:, axis] - step, 0.0)
+            hi = np.minimum(theta[:, axis] + step, math.pi / 2.0)
+            x1 = lo + _INVPHI2 * (hi - lo)
+            x2 = lo + _INVPHI * (hi - lo)
+            f1, f2 = at(x1), at(x2)
+            val, arg = _golden_take(best, theta[:, axis], x1, f1)
+            val, arg = _golden_take(val, arg, x2, f2)
+            for _ in range(60):
+                left = f1 >= f2
+                hi = np.where(left, x2, hi)
+                lo = np.where(left, lo, x1)
+                x = lo + np.where(left, _INVPHI2, _INVPHI) * (hi - lo)
+                v = at(x)
+                x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
+                f1, f2 = np.where(left, v, f2), np.where(left, f1, v)
+                val, arg = _golden_take(val, arg, x, v)
+            up = val > best
+            theta[up, axis] = arg[up]
+            best = val
+    return best
+
+
+def _golden_take(val: np.ndarray, arg: np.ndarray, x: np.ndarray,
+                 v: np.ndarray) -> tuple:
+    """Rowwise incumbent update: ``v`` at ``x`` wins when strictly larger,
+    or equal at a smaller angle."""
+    win = np.where(v == val, x < arg, v > val)
+    return np.where(win, v, val), np.where(win, x, arg)
+
+
 def op_norm_oracle_table(A: MatrixOperator, qs: Sequence[float],
                          ps: Sequence[float], resolution: int = 720,
                          allow_large: bool = False, polish: bool = True) -> dict:
-    """Brute-force q->p operator norms for every (q, p) pair, sharing the
-    direction grid, the matrix products, and the per-exponent column norms
-    across pairs.  Returns a dict keyed by (q, p)."""
+    """Brute-force q->p operator norms for every (q, p) pair at once.
+
+    All pairs share the direction grid, its cached q-norms and the matrix
+    products.  Per sign pattern, one kernel call per chunk of grid columns
+    evaluates every distinct p, so ``log|Ag|`` is taken once and only
+    ``exp`` repeats per exponent.  The best grid or classical candidate
+    direction of each pair is then refined by one golden-section polish
+    that runs every pair in lockstep as array operations (see
+    ``_oracle_polish``); a pair's value does not depend on which other
+    pairs share the call.  Returns a dict keyed by (q, p).
+    """
     qs = [as_exponent(qv) for qv in qs]
     ps = [as_exponent(p) for p in ps]
     n_y = A.source.size
@@ -344,84 +423,73 @@ def op_norm_oracle_table(A: MatrixOperator, qs: Sequence[float],
     E = A.entries
     mu = A.target.weights
     nu = A.source.weights
-    if not E.any():
+    if not (E.any() and qs and ps):
         return {(qv, p): 0.0 for qv in qs for p in ps}
 
-    base = _oracle_directions(n_y, int(resolution))
-    angle_shape = (int(resolution),) * (n_y - 1)
-    qn = {qv: _oracle_qnorms(base, nu, qv, int(resolution)) for qv in set(qs)}
+    res = int(resolution)
+    base = _oracle_directions(n_y, res)
+    q_vals = sorted(set(qs))
+    p_vals = np.array(sorted(set(ps)))
+    qn = [_oracle_qnorms(base, nu, qv, res) for qv in q_vals]
 
     if A.is_nonnegative():
-        patterns = [np.ones(n_y)]
+        patterns = np.ones((1, n_y))
     else:
-        patterns = [np.array(s, dtype=float)
-                    for s in itertools.product((1.0, -1.0), repeat=n_y)
-                    if s[0] == 1.0]  # g and -g give the same ratio
+        patterns = np.array([s for s in itertools.product((1.0, -1.0), repeat=n_y)
+                             if s[0] == 1.0])  # g and -g give the same ratio
 
     # classical extremizer candidates: the constant direction and every
     # basis direction (cube corners and spikes of the source unit balls)
     extra = np.hstack([np.ones((n_y, 1)) / math.sqrt(n_y), np.eye(n_y)])
-    extra_qn = {qv: _row_norms(extra.T, nu, np.array([qv]))[:, 0] for qv in set(qs)}
+    extra_qn = _row_norms(extra.T, nu, np.array(q_vals))
+    extra_theta = np.array([_angles_from_direction(g) for g in extra.T])
 
-    # best (value, angles, sign pattern) per pair over all patterns
-    best: dict = {pair: (-1.0, np.zeros(max(n_y - 1, 0)), patterns[0]) for pair in
-                  ((qv, p) for qv in qs for p in ps)}
-    for sign in patterns:
-        H = (E * sign[None, :]) @ base
-        He = (E * sign[None, :]) @ extra
-        pn = {p: _row_norms(H.T, mu, np.array([p]))[:, 0] for p in set(ps)}
-        pe = {p: _row_norms(He.T, mu, np.array([p]))[:, 0] for p in set(ps)}
-        for qv in qs:
-            for p in ps:
-                vals = pn[p] / qn[qv]
-                k = int(np.argmax(vals))
-                if vals[k] > best[(qv, p)][0]:
-                    idx = np.unravel_index(k, angle_shape) if n_y > 1 else ()
-                    step0 = math.pi / 2.0 / (int(resolution) - 1)
-                    theta = np.array([i * step0 for i in idx])
-                    best[(qv, p)] = (float(vals[k]), theta, sign)
-                evals = pe[p] / extra_qn[qv]
-                ke = int(np.argmax(evals))
-                if evals[ke] > best[(qv, p)][0]:
-                    best[(qv, p)] = (float(evals[ke]),
-                                     _angles_from_direction(extra[:, ke]), sign)
-
-    step = math.pi / 2.0 / (int(resolution) - 1) if n_y > 1 else 0.0
-
-    def polish_pair(pair) -> float:
-        qv, p = pair
-        best_val, theta0, sign = best[pair]
-        if not polish or n_y == 1:
-            return best_val
-        theta = theta0.copy()
+    # best value, angles and sign pattern per (q, p) over all patterns
+    shape = (len(q_vals), p_vals.size)
+    cols = np.arange(p_vals.size)
+    best = np.full(shape, -1.0)
+    theta = np.zeros(shape + (n_y - 1,))
+    sign_of = np.zeros(shape, dtype=int)
+    step = math.pi / 2.0 / (res - 1) if n_y > 1 else 0.0
+    chunk = max(1, _GRID_CHUNK // (p_vals.size * E.shape[0]))
+    for s, sign in enumerate(patterns):
         Es = E * sign[None, :]
-        q_arr, p_arr = np.array([qv]), np.array([p])
+        H = Es @ base
+        grid_best = np.full(shape, -1.0)
+        grid_arg = np.zeros(shape, dtype=int)
+        for lo in range(0, H.shape[1], chunk):
+            pn = _row_norms(H[:, lo:lo + chunk].T, mu, p_vals).T
+            vals = np.empty(pn.shape)  # row-major, so argmax runs along rows
+            for i, qn_i in enumerate(qn):
+                np.divide(pn, qn_i[lo:lo + chunk], out=vals)
+                k = vals.argmax(axis=1)
+                v = vals[cols, k]
+                up = v > grid_best[i]
+                grid_best[i, up] = v[up]
+                grid_arg[i, up] = lo + k[up]
+        up = grid_best > best
+        best[up] = grid_best[up]
+        sign_of[up] = s
+        if n_y > 1:
+            idx = np.unravel_index(grid_arg[up], (res,) * (n_y - 1))
+            theta[up] = np.stack(idx, axis=-1) * step
+        evals = (_row_norms((Es @ extra).T, mu, p_vals)[:, None, :]
+                 / extra_qn[:, :, None])
+        k = evals.argmax(axis=0)
+        v = np.take_along_axis(evals, k[None], axis=0)[0]
+        up = v > best
+        best[up] = v[up]
+        theta[up] = extra_theta[k[up]]
+        sign_of[up] = s
 
-        def ratio_at(t: np.ndarray) -> float:
-            g = _direction_from_angles(t)
-            gn = _row_norms(g[None, :], nu, q_arr)[0, 0]
-            hn = _row_norms((Es @ g)[None, :], mu, p_arr)[0, 0]
-            return hn / gn
-
-        for _ in range(3):
-            for axis in range(theta.size):
-                lo = max(0.0, theta[axis] - step)
-                hi = min(math.pi / 2.0, theta[axis] + step)
-
-                def axis_fn(x: float, axis=axis) -> float:
-                    t = theta.copy()
-                    t[axis] = x
-                    return ratio_at(t)
-
-                val, arg = _golden_max(axis_fn, lo, hi, 60, best_val, theta[axis])
-                if val > best_val:
-                    best_val = val
-                    theta[axis] = arg
-        return float(best_val)
-
-    pairs = [(qv, p) for qv in qs for p in ps]
-    values = _parallel.thread_map(polish_pair, pairs)
-    return dict(zip(pairs, values))
+    values = best.ravel()
+    if polish and n_y > 1:
+        values = _oracle_polish(E, mu, nu, patterns[sign_of.ravel()],
+                                theta.reshape(-1, n_y - 1),
+                                np.repeat(q_vals, p_vals.size),
+                                np.tile(p_vals, len(q_vals)), values, step)
+    table = dict(zip(itertools.product(q_vals, p_vals.tolist()), values.tolist()))
+    return {(qv, p): table[(qv, p)] for qv in qs for p in ps}
 
 
 def op_norm_oracle(A: MatrixOperator, q: float, p: float, resolution: int = 720,
@@ -432,8 +500,11 @@ def op_norm_oracle(A: MatrixOperator, q: float, p: float, resolution: int = 720,
     (valid because ``|Ag| <= A|g|`` entrywise); otherwise every sign
     pattern of the source coordinates is combined with the nonnegative
     grid.  A coordinate-wise golden-section polish refines the best grid
-    direction.  Cost grows as ``resolution**(n-1)``; sources larger than 4
-    are rejected unless ``allow_large`` is set.
+    direction.  This is the one-pair case of ``op_norm_oracle_table``, whose
+    shared-log grid pass and lockstep polish give the same value for a pair
+    whichever pairs share the call, so several pairs of one operator are
+    cheaper as one table.  Cost grows as ``resolution**(n-1)``; sources
+    larger than 4 are rejected unless ``allow_large`` is set.
     """
     table = op_norm_oracle_table(A, [q], [p], resolution=resolution,
                                  allow_large=allow_large, polish=polish)

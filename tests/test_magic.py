@@ -145,6 +145,17 @@ class TestConventionExperiment:
         for row in matches:
             assert row.rel_gap <= 1e-3
 
+    def test_rows_match_single_pair_oracles(self):
+        sq = make_siamese(3)
+        report = check_super_exact(sq, [(4.0, 1.0), (2.0, INFINITY)], resolution=60)
+        assert [(r.q, r.p, r.convention, r.ordering) for r in report.rows] == [
+            (q, p, c, o) for q, p in ((1.0, 4.0), (2.0, INFINITY))
+            for c in ("counting", "normalized") for o in ("q->p", "p->q")]
+        for row in report.rows:
+            A = to_operator(sq, row.convention)
+            assert row.oracle == op_norm_oracle(A, row.source_exponent,
+                                                row.target_exponent, resolution=60)
+
     def test_rejects_invalid_square(self):
         bad = make_uniform_magic(2, 1.0)
         entries = bad.entries.copy()

@@ -138,6 +138,30 @@ class TestLpNormTable:
         for i, p in enumerate(ps):
             assert got[i, 0] == pytest.approx(_fsum_norm(V[i], w, p), rel=1e-13)
 
+    def test_shared_calls_match_separate_calls(self):
+        # a norm does not depend on which exponents share its call: INFINITY
+        # entries of a mixed call skip the finite work, and p = 2 is rooted
+        # the same way alone as among other exponents
+        rng = np.random.default_rng(5)
+        V = rng.standard_normal((300, 6))
+        V[3] = 0.0
+        w = rng.uniform(0.1, 2.0, 6)
+        ps = np.array([1.0, 2.0, INFINITY, 1.5, 4.0, INFINITY])
+        inf = np.isinf(ps)
+        table = _row_norms(V, w, ps)
+        assert np.array_equal(table[:, ~inf], _row_norms(V, w, ps[~inf]))
+        assert np.array_equal(table[:, inf], _row_norms(V, w, ps[inf]))
+        for j, p in enumerate(ps):
+            assert np.array_equal(table[:, j], _row_norms(V, w, np.array([p]))[:, 0])
+
+        per_row = np.resize(ps, V.shape[0])[:, None]
+        rows = _row_norms(V, w, per_row)
+        fin = np.isfinite(per_row[:, 0])
+        assert np.array_equal(rows[fin], _row_norms(V[fin], w, per_row[fin]))
+        assert np.array_equal(rows[~fin], _row_norms(V[~fin], w, per_row[~fin]))
+        assert np.array_equal(rows[:, 0], table[np.arange(V.shape[0]),
+                                               np.arange(V.shape[0]) % ps.size])
+
     def test_zero_rows_and_empty_exponents(self):
         got = lp_norm_table([[0.0, 0.0], [3.0, -4.0]], [1.0, 1.0], [2.0, INFINITY])
         assert np.array_equal(got, [[0.0, 0.0], [5.0, 4.0]])

@@ -127,7 +127,7 @@ class TestOracle:
         assert op_norm_lower(A, 2, 2).value == pytest.approx(expected, rel=1e-9)
 
     def test_caches_survive_concurrent_clear(self, monkeypatch):
-        # another thread_map worker may clear a cache between the write and
+        # an oracle on another thread may clear a cache between the write and
         # the read; model it with dicts that empty themselves on every write
         class ClearingDict(dict):
             def __setitem__(self, key, value):
@@ -139,6 +139,50 @@ class TestOracle:
         monkeypatch.setattr(opnorm, "_DIRECTION_CACHE", ClearingDict())
         monkeypatch.setattr(opnorm, "_QNORM_CACHE", ClearingDict())
         assert op_norm_oracle(A, 2, 4, resolution=90) == want
+
+    def test_table_matches_single_pair_calls(self):
+        # every pair searches and polishes independently of the pairs that
+        # share its call, so a table equals per-pair calls bit for bit
+        rng = np.random.default_rng(13)
+        operators = [
+            MatrixOperator.on_counting([[1.0, -0.5], [0.25, 2.0]]),
+            MatrixOperator.on_counting(rng.uniform(-1.0, 1.0, (3, 3))),
+            MatrixOperator(rng.uniform(-1.0, 1.0, (4, 3)), MeasureSpace([0.5, 2.0, 1.0]),
+                           MeasureSpace([1.0, 0.3, 2.0, 0.7])),
+        ]
+        for A in operators:
+            table = op_norm_oracle_table(A, EXPONENTS, EXPONENTS, resolution=60)
+            assert list(table) == [(q, p) for q in EXPONENTS for p in EXPONENTS]
+            for (q, p), value in table.items():
+                assert value == op_norm_oracle(A, q, p, resolution=60)
+
+    def test_polish_never_lowers_the_grid_value(self):
+        rng = np.random.default_rng(17)
+        for n in (2, 3):
+            A = MatrixOperator.on_counting(rng.uniform(-1.0, 1.0, (n, n)))
+            grid = op_norm_oracle_table(A, EXPONENTS, EXPONENTS, resolution=90,
+                                        polish=False)
+            polished = op_norm_oracle_table(A, EXPONENTS, EXPONENTS, resolution=90)
+            assert all(polished[pair] >= grid[pair] for pair in grid)
+            assert any(polished[pair] > grid[pair] for pair in grid)
+
+    def test_grid_chunks_do_not_change_values(self, monkeypatch):
+        # the symmetric operator has tied grid maxima; chunk borders must
+        # keep the first one, as a single pass over the grid does
+        operators = [MatrixOperator.on_counting([[1.0, 1.0], [1.0, 1.0]]),
+                     MatrixOperator.on_counting([[1.0, -2.0, 0.5], [0.3, 1.0, -1.0],
+                                                 [2.0, 0.1, 1.0]])]
+        want = [op_norm_oracle_table(A, EXPONENTS, EXPONENTS, resolution=30, polish=polish)
+                for A in operators for polish in (False, True)]
+        monkeypatch.setattr(opnorm, "_GRID_CHUNK", 1)
+        got = [op_norm_oracle_table(A, EXPONENTS, EXPONENTS, resolution=30, polish=polish)
+               for A in operators for polish in (False, True)]
+        assert got == want
+
+    def test_empty_exponent_lists(self):
+        A = MatrixOperator.on_counting([[1.0, 2.0], [0.5, 1.0]])
+        assert op_norm_oracle_table(A, [], EXPONENTS) == {}
+        assert op_norm_oracle_table(A, EXPONENTS, []) == {}
 
     def test_interpolation_consistency(self):
         rng = np.random.default_rng(11)
