@@ -165,14 +165,25 @@ def _dual_source_pc(Z: np.ndarray, w: np.ndarray, qc: np.ndarray) -> np.ndarray:
 
 def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
                   G: np.ndarray, qc: np.ndarray, pc: np.ndarray,
-                  tol: float, max_iter: int) -> tuple:
+                  twinned: np.ndarray, tol: float, max_iter: int) -> tuple:
     """Duality-map ascent over many columns at once; column c maximizes the
     qc[c] -> pc[c] ratio.  Returns (best ratios, best witnesses).
 
     Columns run independently; a column retires when its ratio stagnates
     below ``tol``, when it stops improving for three steps (dual-map
     two-cycles at the corner exponents), or when its pullback dies.
+
+    BLAS takes a product with a single column through gemv, which can round
+    differently from the gemm of a wider batch.  ``twinned[c]`` marks a
+    start that was drawn more than once (see ``_ascent_starts``): had its
+    repeats run, it would never have been alone, so when it is the last
+    active column its products still go through gemm, as one of two copies.
     """
+    def product(M: np.ndarray, X: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        if cols.size == 1 and twinned[cols[0]]:
+            return (M @ np.repeat(X, 2, axis=1))[:, :1]
+        return M @ X
+
     n_cols = G.shape[1]
     g0 = _row_norms(G.T, nu, qc[:, None])[:, 0]
     G = G / np.where(g0 > 0.0, g0, 1.0)
@@ -185,7 +196,7 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     for _ in range(int(max_iter)):
         Ga = G[:, idx]
         qa, pa = qc[idx], pc[idx]
-        H = E @ Ga
+        H = product(E, Ga, idx)
         gn = _row_norms(Ga.T, nu, qa[:, None])[:, 0]
         hn = _row_norms(H.T, mu, pa[:, None])[:, 0]
         ok = gn > 0.0
@@ -205,7 +216,7 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
             break
 
         U = _dual_target_pc(H[:, keep], mu, pa[keep])
-        Z = E.T @ U
+        Z = product(E.T, U, idx[keep])
         alive = np.abs(Z).max(axis=0) > 0.0
         idx = idx[keep][alive]
         if idx.size == 0:
@@ -214,11 +225,29 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     return best, best_G
 
 
-def _ascent_starts(n: int, restarts: int, seed: int) -> np.ndarray:
-    """Constant vector, basis vectors, and seeded random sign vectors."""
+def _ascent_starts(n: int, restarts: int, seed: int) -> tuple:
+    """Distinct ascent starts, one per column, in first-occurrence order.
+
+    The block is the constant vector, the basis vectors and ``restarts``
+    seeded random sign vectors; a column equal to an earlier one is dropped.
+    A small source has few sign vectors (2**n), and a repeated start would
+    retrace its twin's ascent bit for bit, so dropping it changes no best
+    value or witness and saves its work.  Returns the starts and, per
+    start, whether it was drawn more than once (``_ascent_batch`` needs it
+    to round as the full block did).
+    """
     rng = np.random.default_rng(seed)
-    signs = rng.choice([-1.0, 1.0], size=(n, int(restarts)))
-    return np.hstack([np.ones((n, 1)), np.eye(n), signs])
+    # the draws of rng.choice([-1.0, 1.0], size) at half the cost
+    signs = 2.0 * rng.integers(0, 2, size=(n, int(restarts))) - 1.0
+    G = np.hstack([np.ones((n, 1)), np.eye(n), signs])
+    # a dict of column bytes costs less than np.unique for so few columns
+    raw, width = G.T.tobytes(), 8 * n
+    first, twins = {}, set()
+    for j in range(G.shape[1]):
+        key = raw[j * width:(j + 1) * width]
+        if first.setdefault(key, j) != j:
+            twins.add(key)
+    return G[:, list(first.values())], np.array([key in twins for key in first])
 
 
 @dataclass(frozen=True)
@@ -236,7 +265,8 @@ def op_norm_lower(A: MatrixOperator, q: float, p: float, restarts: int = 32,
     """Certified lower bound on the q->p operator norm by duality ascent.
 
     Starts from the constant vector, every basis vector, and ``restarts``
-    random sign vectors; each start alternates a target-norm duality step,
+    seeded random sign vectors; a start drawn twice runs once (see
+    ``_ascent_starts``).  Each start alternates a target-norm duality step,
     a transpose pullback, and a source-sphere projection until the ratio
     stagnates below ``tol``.  The best ratio ever seen (with its witness) is
     returned, so the value never exceeds the true norm.
@@ -248,11 +278,11 @@ def op_norm_lower(A: MatrixOperator, q: float, p: float, restarts: int = 32,
     n_y = A.source.size
     if not A.entries.any():
         return AscentResult(0.0, GridFunction(A.source, np.zeros(n_y)), True)
-    G = _ascent_starts(n_y, restarts, seed)
+    G, twinned = _ascent_starts(n_y, restarts, seed)
     n_cols = G.shape[1]
     best, best_G = _ascent_batch(A.entries, A.target.weights, A.source.weights,
                                  G, np.full(n_cols, q), np.full(n_cols, p),
-                                 tol, max_iter)
+                                 twinned, tol, max_iter)
     k = int(np.argmax(best))
     return AscentResult(float(best[k]), GridFunction(A.source, best_G[:, k].copy()))
 
@@ -602,27 +632,32 @@ def minimal_constant(A: MatrixOperator, sigma: float, p_grid: Sequence[float],
     """Lower bound of the minimal certificate constant
     ``sup_g sup_{p,q} sigma**(1/p - 1/q) |Ag|_p / |g|_q`` over the grids.
 
-    ``samples`` is the number of random multistarts handed to the inner
-    ascent per (q, p) pair; all pairs run as one batched ascent with the
-    same start block, which matches per-pair ``op_norm_lower`` calls
-    exactly.  Ties resolve toward the lexicographically smallest (p, q).
+    ``samples`` seeded random sign vectors join the constant and basis
+    starts of the inner ascent of every (q, p) pair, and a start drawn twice
+    runs once (see ``_ascent_starts``).  All pairs run as one batched ascent
+    with the same start block.  That matches per-pair ``op_norm_lower``
+    calls up to rounding: a lone column of a per-pair call goes through BLAS
+    gemv, where the batch still uses gemm, so a value can differ in its last
+    bits.  Ties resolve toward the lexicographically smallest (p, q).
     """
     sigma = float(sigma)
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise ValueError("sigma must be a positive finite real")
+    if samples < 0:
+        raise ValueError("samples (random ascent starts per pair) must be >= 0")
     p_pts = sorted(as_exponent(p) for p in p_grid)
     q_pts = sorted(as_exponent(qv) for qv in q_grid)
     pairs = [(p, qv) for p in p_pts for qv in q_pts]
     if not A.entries.any():
         return MinimalConstantResult(0.0, p_pts[0], q_pts[0])
 
-    starts = _ascent_starts(A.source.size, samples, seed)
+    starts, twinned = _ascent_starts(A.source.size, samples, seed)
     n_starts = starts.shape[1]
     G = np.tile(starts, len(pairs))
     pc = np.repeat([p for p, _ in pairs], n_starts)
     qc = np.repeat([qv for _, qv in pairs], n_starts)
     best, _ = _ascent_batch(A.entries, A.target.weights, A.source.weights,
-                            G, qc, pc, tol, max_iter)
+                            G, qc, pc, np.tile(twinned, len(pairs)), tol, max_iter)
     per_pair = best.reshape(len(pairs), n_starts).max(axis=1)
 
     best_val = -INFINITY

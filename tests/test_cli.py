@@ -185,6 +185,16 @@ class TestErrorHandling:
                     "--output", out_path(inputs, "x.json")]) == 2
         assert "last grid point" in capsys.readouterr().err
 
+    def test_negative_start_count(self, inputs, capsys):
+        assert run(["minimal-constant", "--matrix", inputs["A"], "--sigma", "3",
+                    "--p-interval", "4:8", "--q-interval", "1:2", "--samples", "-1",
+                    "--output", out_path(inputs, "x.json")]) == 2
+        assert "samples" in capsys.readouterr().err
+        assert run(["verify-theorem1", "--matrix", inputs["A"], "--psi", inputs["psi48"],
+                    "--nu", inputs["nu12"], "--sigma", "3", "--restarts", "-1",
+                    "--output", out_path(inputs, "x.json")]) == 2
+        assert "samples" in capsys.readouterr().err
+
     def test_bad_exponent(self, inputs, capsys):
         assert run(["opnorm", "--matrix", inputs["A"], "--q", "0.5", "--p", "2",
                     "--output", out_path(inputs, "x.json")]) == 2

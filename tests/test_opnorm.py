@@ -74,6 +74,102 @@ class TestAscent:
         assert np.array_equal(a.witness.values, b.witness.values)
 
 
+def _full_start_block(n, restarts, seed):
+    """Every start the ascent is seeded with, repeats included."""
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], size=(n, restarts))
+    return np.hstack([np.ones((n, 1)), np.eye(n), signs])
+
+
+def _start_operators():
+    from glsx import make_siamese, to_operator
+    rng = np.random.default_rng(29)
+    return [
+        to_operator(make_siamese(3), "counting"),  # Lo Shu
+        MatrixOperator.on_counting(rng.uniform(0.0, 1.0, (3, 3))),
+        MatrixOperator.on_counting([[1.0, -0.5], [0.25, 2.0]]),
+        MatrixOperator(rng.uniform(-1.0, 1.0, (4, 3)), MeasureSpace([0.5, 2.0, 1.0]),
+                       MeasureSpace([1.0, 0.3, 2.0, 0.7])),
+        MatrixOperator.identity(1),
+    ]
+
+
+def _full_block_ascent(A, qc, pc, G):
+    # no start is dropped, so no column needs the gemm route of a twin
+    return opnorm._ascent_batch(A.entries, A.target.weights, A.source.weights, G,
+                                np.asarray(qc, float), np.asarray(pc, float),
+                                np.zeros(G.shape[1], dtype=bool), 1e-12, 200)
+
+
+class TestAscentStarts:
+    def test_distinct_in_first_occurrence_order(self):
+        for n in (1, 2, 3, 4):
+            for restarts in (1, 8, 32):
+                for seed in range(6):
+                    full = [c.tobytes() for c in _full_start_block(n, restarts, seed).T]
+                    G, twinned = opnorm._ascent_starts(n, restarts, seed)
+                    got = [c.tobytes() for c in G.T]
+                    # dict keys: each column once, where it first occurs
+                    assert got == list(dict.fromkeys(full))
+                    assert twinned.tolist() == [full.count(c) > 1 for c in got]
+        assert opnorm._ascent_starts(1, 32, 0)[0].tolist() == [[1.0, -1.0]]
+
+    def test_op_norm_lower_matches_full_block(self):
+        for A in _start_operators():
+            n = A.source.size
+            for restarts, seed in ((1, 0), (3, 0), (8, 7), (32, 3)):
+                G = _full_start_block(n, restarts, seed)
+                for q in EXPONENTS:
+                    for p in EXPONENTS:
+                        best, best_G = _full_block_ascent(
+                            A, [q] * G.shape[1], [p] * G.shape[1], G)
+                        k = int(np.argmax(best))
+                        res = op_norm_lower(A, q, p, restarts=restarts, seed=seed)
+                        assert res.value == best[k]
+                        assert np.array_equal(res.witness.values, best_G[:, k])
+
+    def test_minimal_constant_matches_full_block(self):
+        sigma = 3.0
+        grids = [(exponent_grid(4, 8, 5), exponent_grid(1, 2, 5)),
+                 (EXPONENTS, EXPONENTS)]
+        for A in _start_operators():
+            for p_grid, q_grid in grids:
+                pairs = [(p, q) for p in sorted(p_grid) for q in sorted(q_grid)]
+                for samples, seed in ((0, 1), (8, 2), (32, 0)):
+                    G = _full_start_block(A.source.size, samples, seed)
+                    cols = G.shape[1]
+                    best, _ = _full_block_ascent(A, np.repeat([q for _, q in pairs], cols),
+                                                 np.repeat([p for p, _ in pairs], cols),
+                                                 np.tile(G, len(pairs)))
+                    per_pair = best.reshape(len(pairs), cols).max(axis=1)
+                    want, arg = -INFINITY, None
+                    for (p, q), norm in zip(pairs, per_pair):
+                        val = sigma ** (opnorm.inv_exponent(p) - opnorm.inv_exponent(q)) * norm
+                        if val > want:
+                            want, arg = val, (p, q)
+                    got = minimal_constant(A, sigma, p_grid, q_grid, samples=samples,
+                                           seed=seed)
+                    assert got.value == want
+                    assert (got.argmax_p, got.argmax_q) == arg
+
+    def test_minimal_constant_matches_per_pair_ascents(self):
+        # a per-pair call can take a lone column through BLAS gemv where the
+        # batch of all pairs uses gemm, so the two agree to rounding rather
+        # than bit for bit
+        sigma = 2.0
+        p_grid, q_grid = exponent_grid(4, 8, 5), exponent_grid(1, 2, 5)
+        for A in _start_operators():
+            for samples, seed in ((1, 3), (8, 0), (32, 1)):
+                per_pair = {(p, q): sigma ** (1.0 / p - 1.0 / q) * op_norm_lower(
+                                A, q, p, restarts=samples, seed=seed).value
+                            for p in p_grid for q in q_grid}
+                want = max(per_pair.values())
+                got = minimal_constant(A, sigma, p_grid, q_grid, samples=samples, seed=seed)
+                assert got.value == pytest.approx(want, rel=1e-14, abs=0.0)
+                assert per_pair[(got.argmax_p, got.argmax_q)] == \
+                    pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 class TestOracle:
     def test_identity_l1(self):
         assert op_norm_oracle(MatrixOperator.identity(2), 1, 1, resolution=180) == \
