@@ -210,14 +210,33 @@ def _cmd_minimal_constant(args) -> int:
     return EXIT_OK
 
 
-def _verify_common(args, A, p_interval, q_interval, p_pts, q_pts):
+def _run_verify(args, A, p_interval, q_interval, p_pts, q_pts, verify,
+                label: str, **inputs) -> int:
+    """Shared body of the verify commands: the minimal constant, the
+    certificate check, then ``verify(cert, cbar, tol)``; one report with the
+    full configuration for either outcome."""
     cbar = minimal_constant(A, args.sigma, p_pts, q_pts, samples=args.restarts,
                             seed=args.seed).value
     C = args.c if args.c is not None else cbar * (1.0 + 1e-9)
     cert = OperatorBoundCertificate(args.sigma, C, p_interval, q_interval)
     sig = check_sigma_condition(A, cert, p_pts, q_pts,
                                 samples=min(args.samples, 200), seed=args.seed)
-    return cbar, cert, sig
+    config = _config_dict(args, matrix=args.matrix, sigma=args.sigma, c=args.c,
+                          restarts=args.restarts,
+                          p_points=[float(x) for x in p_pts],
+                          q_points=[float(x) for x in q_pts], **inputs)
+    report = {"config": config, "sigma_condition": _jsonable(sig)}
+    if not sig.holds:
+        out = _write_report(args, report)
+        print(f"certificate check failed (worst ratio {sig.worst_ratio}) -> {out}")
+        return EXIT_VIOLATION
+    tol = args.tolerance if args.tolerance is not None else 1e-8
+    rep = verify(cert, cbar, tol)
+    report["result"] = _jsonable(rep)
+    out = _write_report(args, report)
+    print(f"{label}: {'ok' if rep.passed else 'VIOLATED'} "
+          f"(max lhs/rhs {rep.max_lhs_rhs_ratio:.6g}, cbar {rep.cbar:.6g}) -> {out}")
+    return EXIT_OK if rep.passed else EXIT_VIOLATION
 
 
 def _cmd_verify_theorem1(args) -> int:
@@ -226,52 +245,33 @@ def _cmd_verify_theorem1(args) -> int:
     nu = generating_function_from_spec(_load_json(args.nu))
     p_pts = exponent_grid(psi.domain.a, psi.domain.b, args.grid_points)
     q_pts = exponent_grid(nu.domain.a, nu.domain.b, args.grid_points)
-    cbar, cert, sig = _verify_common(args, A, psi.domain, nu.domain, p_pts, q_pts)
-    tol = args.tolerance if args.tolerance is not None else 1e-8
-    if not sig.holds:
-        report = {"config": _config_dict(args), "sigma_condition": _jsonable(sig)}
-        out = _write_report(args, report)
-        print(f"certificate check failed (worst ratio {sig.worst_ratio}) -> {out}")
-        return EXIT_VIOLATION
-    rep = verify_theorem1(A, cert, psi, nu, samples=args.samples, seed=args.seed,
-                          p_points=p_pts, q_points=q_pts, cbar=cbar, tol=tol)
-    report = {"config": _config_dict(args, matrix=args.matrix, sigma=args.sigma,
-                                     psi=psi.to_spec(), nu=nu.to_spec(),
-                                     p_points=[float(x) for x in p_pts],
-                                     q_points=[float(x) for x in q_pts]),
-              "sigma_condition": _jsonable(sig),
-              "result": _jsonable(rep)}
-    out = _write_report(args, report)
-    print(f"extrapolation inequality: {'ok' if rep.passed else 'VIOLATED'} "
-          f"(max lhs/rhs {rep.max_lhs_rhs_ratio:.6g}, cbar {rep.cbar:.6g}) -> {out}")
-    return EXIT_OK if rep.passed else EXIT_VIOLATION
+
+    def verify(cert, cbar, tol):
+        return verify_theorem1(A, cert, psi, nu, samples=args.samples, seed=args.seed,
+                               p_points=p_pts, q_points=q_pts, cbar=cbar, tol=tol)
+
+    return _run_verify(args, A, psi.domain, nu.domain, p_pts, q_pts, verify,
+                       "extrapolation inequality", psi=psi.to_spec(), nu=nu.to_spec())
 
 
 def _cmd_verify_theorem2(args) -> int:
     A = operator_from_spec(_load_json(args.matrix))
-    W = mri_norm_from_spec(_load_json(args.w_norm), grid_points=args.grid_points)
-    R = mri_norm_from_spec(_load_json(args.r_norm), grid_points=args.grid_points)
+    w_spec = _load_json(args.w_norm)
+    r_spec = _load_json(args.r_norm)
+    W = mri_norm_from_spec(w_spec, grid_points=args.grid_points)
+    R = mri_norm_from_spec(r_spec, grid_points=args.grid_points)
     if not supp_ordering(W, R):
         print("warning: moment supports are not ordered (min of W's interval "
               "is below max of R's)", file=sys.stderr)
+
+    def verify(cert, cbar, tol):
+        return verify_theorem2(A, cert, W, R, samples=args.samples, seed=args.seed,
+                               cbar=cbar, tol=tol)
+
     # the constant must be computed on the same exponent grids the norms use
-    cbar, cert, sig = _verify_common(args, A, W.interval, R.interval,
-                                     W.grid.points_array, R.grid.points_array)
-    tol = args.tolerance if args.tolerance is not None else 1e-8
-    if not sig.holds:
-        report = {"config": _config_dict(args), "sigma_condition": _jsonable(sig)}
-        out = _write_report(args, report)
-        print(f"certificate check failed (worst ratio {sig.worst_ratio}) -> {out}")
-        return EXIT_VIOLATION
-    rep = verify_theorem2(A, cert, W, R, samples=args.samples, seed=args.seed,
-                          cbar=cbar, tol=tol)
-    report = {"config": _config_dict(args, matrix=args.matrix, sigma=args.sigma),
-              "sigma_condition": _jsonable(sig),
-              "result": _jsonable(rep)}
-    out = _write_report(args, report)
-    print(f"moment-norm inequality: {'ok' if rep.passed else 'VIOLATED'} "
-          f"(max lhs/rhs {rep.max_lhs_rhs_ratio:.6g}) -> {out}")
-    return EXIT_OK if rep.passed else EXIT_VIOLATION
+    return _run_verify(args, A, W.interval, R.interval, W.grid.points_array,
+                       R.grid.points_array, verify, "moment-norm inequality",
+                       w_norm=w_spec, r_norm=r_spec)
 
 
 def _build_square(args):

@@ -76,11 +76,11 @@ class GeneratingFunction:
 
     def eval_array(self, ps) -> np.ndarray:
         ps = np.asarray(ps, dtype=float)
-        for p in ps:
-            if not self.domain.contains(p):
-                raise ValueError(
-                    f"exponent {p} outside domain [{self.domain.a}, {self.domain.b})"
-                )
+        outside = ps[~((ps >= self.domain.a) & (ps < self.domain.b))]  # NaN is outside too
+        if outside.size:
+            raise ValueError(
+                f"exponent {outside[0]} outside domain [{self.domain.a}, {self.domain.b})"
+            )
         if self.vec_fn is not None:
             return np.asarray(self.vec_fn(ps), dtype=float)
         return np.array([float(self.fn(p)) for p in ps])

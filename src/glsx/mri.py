@@ -3,8 +3,13 @@
 Two kinds are shipped behind one evaluation interface: the weighted sup
 kind (a grand norm, delegating to :mod:`glsx.gls`), and a weighted integral
 kind ``(integral |h(p)|**s w(p) dp)**(1/s)`` with trapezoid quadrature on
-the norm's grid.  Quadrature sums use ``math.fsum``, so permuting samples
-that share a quadrature weight leaves the integral norm bit-identical.
+the norm's grid.  Quadrature sums of a single profile use ``math.fsum``, so
+permuting samples that share a quadrature weight leaves the integral norm
+bit-identical.
+
+``verify_theorem2`` is the extrapolation-verification engine: it checks the
+moment-norm inequality for any pair of these norms, and the grand-norm
+check ``glsx.opnorm.verify_theorem1`` is its sup-kind special case.
 """
 from __future__ import annotations
 
@@ -17,9 +22,9 @@ import numpy as np
 from .genfun import ExponentInterval, GeneratingFunction
 from .gls import (P_MAX, PGrid, SupResult, default_grid, exponent_grid,
                   fundamental_function, gls_norm, grid_from_points)
-from .measure import GridFunction, lp_norm_table
+from .measure import GridFunction, _row_norms, lp_norm_table
 from .opnorm import (ExtrapolationReport, MatrixOperator, OperatorBoundCertificate,
-                     _sup_functional, _verify_extrapolation, minimal_constant)
+                     _candidate_functions, minimal_constant)
 
 
 def _trapezoid_weights(pts: np.ndarray) -> np.ndarray:
@@ -59,13 +64,32 @@ class MRINorm:
             if self.s < 1.0:
                 raise ValueError("integral kind requires s >= 1")
 
+    def profile_norms(self, profiles: np.ndarray) -> np.ndarray:
+        """Norms of nonnegative moment profiles sampled on the grid points,
+        one per row of a (samples x points) table (a scalar for one profile)."""
+        if self.kind == "sup":
+            psiv = self.psi.eval_array(self.grid.points_array)
+            with np.errstate(invalid="ignore"):
+                return (profiles / psiv).max(axis=-1)
+        qw = np.asarray(self.quad_weights)
+        return (profiles ** self.s @ qw) ** (1.0 / self.s)
+
+    def grid_fundamental(self, delta: float) -> tuple:
+        """``(value, endpoint_flag)`` of the profile p -> delta**(1/p) on the
+        grid points alone; the flag marks a sup-kind maximum at the last point."""
+        pts = self.grid.points_array
+        profile = np.power(delta, 1.0 / pts)
+        if self.kind == "sup":
+            vals = profile / self.psi.eval_array(pts)
+            k = int(np.argmax(vals))
+            return float(vals[k]), k == pts.size - 1
+        return float(self.profile_norms(profile)), False
+
     def apply_to_profile(self, h: np.ndarray) -> float:
         """Norm of one moment profile sampled on the grid points."""
         h = np.abs(np.asarray(h, dtype=float))
         if self.kind == "sup":
-            psiv = self.psi.eval_array(self.grid.points_array)
-            with np.errstate(invalid="ignore"):
-                return float((h / psiv).max())
+            return float(self.profile_norms(h))
         qw = np.asarray(self.quad_weights)
         total = math.fsum((qw * h ** self.s).tolist())
         return float(total ** (1.0 / self.s))
@@ -141,53 +165,75 @@ def supp_ordering(W: MRINorm, R: MRINorm) -> bool:
     return w_min >= r_max
 
 
-def _functional_for(norm: MRINorm):
-    pts = norm.grid.points_array
-    if norm.kind == "sup":
-        return pts, *_sup_functional(norm.psi, pts)
-    qw = np.asarray(norm.quad_weights)
-    s = norm.s
-
-    def norms(profiles: np.ndarray) -> np.ndarray:
-        return (profiles ** s @ qw) ** (1.0 / s)
-
-    def fundamental(delta: float) -> tuple:
-        prof = np.power(delta, 1.0 / pts)
-        total = float((prof ** s @ qw) ** (1.0 / s))
-        return total, False
-
-    return pts, norms, fundamental
-
-
 def verify_theorem2(A: MatrixOperator, cert: OperatorBoundCertificate,
                     W: MRINorm, R: MRINorm, samples: int = 1000, seed: int = 0,
                     cbar: Optional[float] = None, restarts: int = 32,
                     tol: float = 1e-8) -> ExtrapolationReport:
     """Check the moment-norm extrapolation inequality on sampled functions.
 
-    Same engine and inequality chain as the grand-norm verification; with
-    sup-kind norms on the same grids the two produce identical values.
-    Endpoint flags on sup-kind fundamentals are recorded in the report
-    rather than raised, degenerate fundamental values still raise.
+    For each sampled g (``samples`` seeded normal vectors plus the constant
+    and basis vectors) the W-norm of the moment profile of Ag divided by W's
+    fundamental value at 1/sigma must not exceed ``cbar`` times the same
+    quantity for g under R.  One exponent grid per side, the norm's own,
+    parameterizes the minimal constant (computed with ``restarts`` random
+    ascent starts when ``cbar`` is None), both norms and both fundamental
+    values, so the discrete inequality chain is exact up to the quality of
+    the inner ascent.  Sup-kind endpoint flags are recorded in the report
+    rather than raised; degenerate fundamental values and non-finite sampled
+    sides (overflow) raise ``ValueError``.
     """
     if not cert.witnessed:
         raise ValueError("certificate must be witnessed by check_sigma_condition first")
     if W.interval.as_tuple() != cert.p_interval.as_tuple():
-        raise ValueError("W's interval must equal the certificate p interval")
+        raise ValueError("W's interval (psi's domain for a grand norm) must equal "
+                         "the certificate p interval")
     if R.interval.as_tuple() != cert.q_interval.as_tuple():
-        raise ValueError("R's interval must equal the certificate q interval")
+        raise ValueError("R's interval (nu's domain for a grand norm) must equal "
+                         "the certificate q interval")
 
-    p_pts, lhs_norms, lhs_fund = _functional_for(W)
-    q_pts, rhs_norms, rhs_fund = _functional_for(R)
+    p_pts = W.grid.points_array
+    q_pts = R.grid.points_array
     delta = 1.0 / cert.sigma
-    phi_lhs, lhs_flag = lhs_fund(delta)
-    phi_rhs, rhs_flag = rhs_fund(delta)
+    phi_lhs, lhs_flag = W.grid_fundamental(delta)
+    phi_rhs, rhs_flag = R.grid_fundamental(delta)
+    if not (phi_lhs > 0.0 and math.isfinite(phi_lhs)):
+        raise ValueError(f"degenerate left fundamental value {phi_lhs}")
+    if not (phi_rhs > 0.0 and math.isfinite(phi_rhs)):
+        raise ValueError(f"degenerate right fundamental value {phi_rhs}")
     if cbar is None:
         cbar = minimal_constant(A, cert.sigma, p_pts, q_pts,
                                 samples=restarts, seed=seed).value
-    return _verify_extrapolation(A, cert.sigma, p_pts, q_pts, lhs_norms,
-                                 rhs_norms, phi_lhs, phi_rhs, cbar, samples,
-                                 seed, tol, lhs_flag, rhs_flag)
+
+    rng = np.random.default_rng(seed)
+    G = _candidate_functions(A.source.size, samples, rng)
+    H = G @ A.entries.T
+    lhs = W.profile_norms(_row_norms(H, A.target.weights, p_pts)) / phi_lhs
+    rhs = cbar * R.profile_norms(_row_norms(G, A.source.weights, q_pts)) / phi_rhs
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        raise ValueError("a sampled side of the inequality is not finite "
+                         "(overflow); the check cannot be decided")
+
+    positive = rhs > 0.0
+    ratios = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=positive)
+    bad = np.flatnonzero(np.where(positive, lhs > rhs * (1.0 + tol), lhs > 0.0))
+    violations = tuple({"index": int(i), "lhs": float(lhs[i]), "rhs": float(rhs[i]),
+                        "witness": [float(x) for x in G[i]]} for i in bad)
+    return ExtrapolationReport(
+        passed=not violations,
+        samples=int(G.shape[0]),
+        violations=violations,
+        max_lhs_rhs_ratio=float(ratios.max(initial=0.0)),
+        cbar=float(cbar),
+        phi_lhs=phi_lhs,
+        phi_rhs=phi_rhs,
+        sigma=float(cert.sigma),
+        p_points=tuple(float(p) for p in p_pts),
+        q_points=tuple(float(qv) for qv in q_pts),
+        seed=int(seed),
+        tol=float(tol),
+        lhs_endpoint_flag=lhs_flag,
+        rhs_endpoint_flag=rhs_flag,
+    )
 
 
 def mri_norm_from_spec(spec: dict, grid_points: int = 129) -> MRINorm:

@@ -10,22 +10,22 @@ Norm estimation comes in two independent flavors:
   restricted to small sources and is the reference the ascent is checked
   against.
 
-``verify_theorem1`` checks the grand-norm extrapolation inequality at grid
-resolution: one exponent grid per side parameterizes the minimal constant,
-both norms, and both fundamental-function values, which makes the discrete
-inequality chain exact up to the quality of the inner ascent.
+``minimal_constant`` runs the same ascent over a grid of exponent pairs; it
+is the constant of the extrapolation inequality.  ``verify_theorem1`` checks
+that inequality for grand norms: it builds sup-kind moment norms on the two
+exponent grids and runs the engine ``glsx.mri.verify_theorem2``.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .genfun import ExponentInterval, GeneratingFunction
-from .gls import _INVPHI, _INVPHI2, exponent_grid
+from .gls import _INVPHI, _INVPHI2, PGrid, exponent_grid, grid_from_points
 from .measure import (INFINITY, GridFunction, MeasureSpace, _row_norms,
                       as_exponent, is_infinite)
 
@@ -561,6 +561,8 @@ class OperatorBoundCertificate:
 
 def _candidate_functions(n: int, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Random normal samples plus the deterministic extremal candidates."""
+    if samples < 0:
+        raise ValueError(f"samples (random test functions) must be >= 0, got {samples}")
     gs = rng.standard_normal((int(samples), n))
     return np.vstack([gs, np.ones((1, n)), np.eye(n)])
 
@@ -670,7 +672,7 @@ def minimal_constant(A: MatrixOperator, sigma: float, p_grid: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# extrapolation verification engine (shared with the moment-norm module)
+# grand-norm extrapolation check (the engine is glsx.mri.verify_theorem2)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -691,72 +693,6 @@ class ExtrapolationReport:
     lhs_endpoint_flag: bool = False
 
 
-def _sup_functional(psi: GeneratingFunction, pts: np.ndarray):
-    """Rowwise sup of profile/psi over the grid, plus the matching
-    fundamental-function evaluator."""
-    psiv = psi.eval_array(pts)
-
-    def norms(profiles: np.ndarray) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            ratios = profiles / psiv[None, :]
-        return ratios.max(axis=1)
-
-    def fundamental(delta: float) -> tuple:
-        vals = np.power(delta, 1.0 / pts) / psiv
-        k = int(np.argmax(vals))
-        return float(vals[k]), k == pts.size - 1
-
-    return norms, fundamental
-
-
-def _verify_extrapolation(A: MatrixOperator, sigma: float,
-                          p_pts: np.ndarray, q_pts: np.ndarray,
-                          lhs_norms: Callable[[np.ndarray], np.ndarray],
-                          rhs_norms: Callable[[np.ndarray], np.ndarray],
-                          phi_lhs: float, phi_rhs: float, cbar: float,
-                          samples: int, seed: int, tol: float,
-                          lhs_flag: bool, rhs_flag: bool) -> ExtrapolationReport:
-    if not (phi_lhs > 0.0 and math.isfinite(phi_lhs)):
-        raise ValueError(f"degenerate left fundamental value {phi_lhs}")
-    if not (phi_rhs > 0.0 and math.isfinite(phi_rhs)):
-        raise ValueError(f"degenerate right fundamental value {phi_rhs}")
-    rng = np.random.default_rng(seed)
-    G = _candidate_functions(A.source.size, samples, rng)
-    H = G @ A.entries.T
-    L = lhs_norms(_row_norms(H, A.target.weights, p_pts)) / phi_lhs
-    R = cbar * rhs_norms(_row_norms(G, A.source.weights, q_pts)) / phi_rhs
-
-    violations = []
-    max_ratio = 0.0
-    for i in range(G.shape[0]):
-        li, ri = float(L[i]), float(R[i])
-        if ri > 0.0:
-            ratio = li / ri
-            max_ratio = max(max_ratio, ratio)
-            if li > ri * (1.0 + tol):
-                violations.append({"index": i, "lhs": li, "rhs": ri,
-                                   "witness": [float(x) for x in G[i]]})
-        elif li > 0.0:
-            violations.append({"index": i, "lhs": li, "rhs": ri,
-                               "witness": [float(x) for x in G[i]]})
-    return ExtrapolationReport(
-        passed=not violations,
-        samples=int(G.shape[0]),
-        violations=tuple(violations),
-        max_lhs_rhs_ratio=max_ratio,
-        cbar=float(cbar),
-        phi_lhs=float(phi_lhs),
-        phi_rhs=float(phi_rhs),
-        sigma=float(sigma),
-        p_points=tuple(float(p) for p in p_pts),
-        q_points=tuple(float(qv) for qv in q_pts),
-        seed=int(seed),
-        tol=float(tol),
-        lhs_endpoint_flag=lhs_flag,
-        rhs_endpoint_flag=rhs_flag,
-    )
-
-
 def verify_theorem1(A: MatrixOperator, cert: OperatorBoundCertificate,
                     psi: GeneratingFunction, nu_gen: GeneratingFunction,
                     samples: int = 1000, seed: int = 0,
@@ -766,39 +702,30 @@ def verify_theorem1(A: MatrixOperator, cert: OperatorBoundCertificate,
                     grid_points: int = 17, tol: float = 1e-8) -> ExtrapolationReport:
     """Check the grand-norm extrapolation inequality on sampled functions.
 
-    For each sampled g the grand norm of Ag (generating function ``psi``,
-    exponent grid inside the certificate's p interval) divided by the
-    fundamental value at 1/sigma must not exceed the minimal constant times
-    the same quantity for g on the q side.  Raises when a fundamental value
-    is degenerate or carries the endpoint-divergence flag (the inequality's
-    normalization would then be meaningless).
+    The sup-kind case of ``glsx.mri.verify_theorem2``: the left norm is the
+    grand norm with generating function ``psi`` on ``p_points`` (default a
+    ``grid_points``-point log grid of the certificate's p interval), the
+    right one the grand norm with ``nu_gen`` on ``q_points``.  Points are
+    sorted and must be distinct and lie inside their interval.  Raises,
+    before any ascent runs, when a fundamental value carries the
+    endpoint-divergence flag (the inequality's normalization would then be
+    meaningless).
     """
-    if not cert.witnessed:
-        raise ValueError("certificate must be witnessed by check_sigma_condition first")
-    if psi.domain.as_tuple() != cert.p_interval.as_tuple():
-        raise ValueError("psi domain must equal the certificate p interval")
-    if nu_gen.domain.as_tuple() != cert.q_interval.as_tuple():
-        raise ValueError("nu domain must equal the certificate q interval")
+    from .mri import sup_mri_norm, verify_theorem2
 
-    p_pts = (np.array([as_exponent(p) for p in p_points]) if p_points is not None
-             else exponent_grid(cert.p_interval.a, cert.p_interval.b, grid_points))
-    q_pts = (np.array([as_exponent(qv) for qv in q_points]) if q_points is not None
-             else exponent_grid(cert.q_interval.a, cert.q_interval.b, grid_points))
+    def grid(interval: ExponentInterval, points) -> PGrid:
+        if points is None:
+            points = exponent_grid(interval.a, interval.b, grid_points)
+        return grid_from_points(interval, points, refinement_depth=0)
 
-    lhs_norms, lhs_fund = _sup_functional(psi, p_pts)
-    rhs_norms, rhs_fund = _sup_functional(nu_gen, q_pts)
-    delta = 1.0 / cert.sigma
-    phi_lhs, lhs_flag = lhs_fund(delta)
-    phi_rhs, rhs_flag = rhs_fund(delta)
-    if (lhs_flag and p_pts.size > 1) or (rhs_flag and q_pts.size > 1):
-        raise ValueError(
-            "fundamental function attained its maximum at the last grid point; "
-            "it may diverge toward the interval boundary and the inequality "
-            "normalization cannot be trusted"
-        )
-    if cbar is None:
-        cbar = minimal_constant(A, cert.sigma, p_pts, q_pts,
-                                samples=restarts, seed=seed).value
-    return _verify_extrapolation(A, cert.sigma, p_pts, q_pts, lhs_norms,
-                                 rhs_norms, phi_lhs, phi_rhs, cbar, samples,
-                                 seed, tol, lhs_flag, rhs_flag)
+    W = sup_mri_norm(psi, grid(cert.p_interval, p_points))
+    R = sup_mri_norm(nu_gen, grid(cert.q_interval, q_points))
+    for norm in (W, R):
+        if norm.grid_fundamental(1.0 / cert.sigma)[1] and len(norm.grid.points) > 1:
+            raise ValueError(
+                "fundamental function attained its maximum at the last grid point; "
+                "it may diverge toward the interval boundary and the inequality "
+                "normalization cannot be trusted"
+            )
+    return verify_theorem2(A, cert, W, R, samples=samples, seed=seed, cbar=cbar,
+                           restarts=restarts, tol=tol)

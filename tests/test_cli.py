@@ -98,11 +98,16 @@ class TestVerifyCommands:
         ident = str(inputs["dir"] / "ident.json")
         with open(ident, "w") as fh:
             json.dump({"entries": [[1, 0], [0, 1]]}, fh)
+        out = out_path(inputs, "vi.json")
         code = run(["verify-theorem1", "--matrix", ident, "--psi",
                     inputs["psi48"], "--nu", inputs["nu12"], "--sigma", "1",
-                    "--samples", "100", "--output",
-                    out_path(inputs, "vi.json")])
+                    "--samples", "100", "--c", "1.5", "--restarts", "4",
+                    "--output", out])
         assert code == 0
+        report = json.loads(open(out).read())
+        assert report["result"]["passed"] is True
+        assert report["config"]["restarts"] == 4
+        assert report["config"]["c"] == 1.5
 
     def test_verify_theorem1(self, inputs, capsys):
         out = out_path(inputs, "v1.json")
@@ -123,6 +128,24 @@ class TestVerifyCommands:
         assert code == 0
         report = json.loads(open(out).read())
         assert report["result"]["passed"] is True
+        config = report["config"]
+        assert config["w_norm"] == json.loads(open(inputs["W"]).read())
+        assert config["r_norm"] == json.loads(open(inputs["R"]).read())
+        assert len(config["p_points"]) == len(config["q_points"]) == 17
+
+    def test_failed_certificate_report_keeps_config(self, inputs, capsys):
+        out = out_path(inputs, "vfail.json")
+        code = run(["verify-theorem1", "--matrix", inputs["A"], "--psi",
+                    inputs["psi48"], "--nu", inputs["nu12"], "--sigma", "3",
+                    "--c", "0.5", "--restarts", "2", "--samples", "50",
+                    "--output", out])
+        assert code == 1
+        report = json.loads(open(out).read())
+        assert report["sigma_condition"]["holds"] is False
+        assert "result" not in report
+        assert report["config"]["matrix"] == inputs["A"]
+        assert report["config"]["c"] == 0.5
+        assert report["config"]["psi"]["kind"] == "boundary"
 
 
 class TestMagicCommands:
@@ -194,6 +217,23 @@ class TestErrorHandling:
                     "--nu", inputs["nu12"], "--sigma", "3", "--restarts", "-1",
                     "--output", out_path(inputs, "x.json")]) == 2
         assert "samples" in capsys.readouterr().err
+        for command, norms in (("verify-theorem1", ["--psi", inputs["psi48"],
+                                                    "--nu", inputs["nu12"]]),
+                               ("verify-theorem2", ["--w-norm", inputs["W"],
+                                                    "--r-norm", inputs["R"]])):
+            assert run([command, "--matrix", inputs["A"], *norms, "--sigma", "3",
+                        "--samples", "-1", "--restarts", "2",
+                        "--output", out_path(inputs, "x.json")]) == 2
+            assert "samples" in capsys.readouterr().err
+
+    def test_overflow_is_bad_input_not_violation(self, inputs, tmp_path, capsys):
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"entries": [[1e308, 1e308], [1e308, 1e308]]}))
+        out = out_path(inputs, "huge_report.json")
+        assert run(["verify-theorem1", "--matrix", str(huge), "--psi", inputs["psi48"],
+                    "--nu", inputs["nu12"], "--sigma", "3", "--samples", "50",
+                    "--output", out]) == 2
+        assert "not finite" in capsys.readouterr().err
 
     def test_bad_exponent(self, inputs, capsys):
         assert run(["opnorm", "--matrix", inputs["A"], "--q", "0.5", "--p", "2",

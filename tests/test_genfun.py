@@ -81,6 +81,15 @@ class TestDomains:
         with pytest.raises(ValueError):
             make_power(2.0).eval(INFINITY)
 
+    def test_eval_array_names_first_exponent_outside(self):
+        psi = make_boundary(3, 1, 1)
+        with pytest.raises(ValueError, match=r"exponent 3\.5 outside domain"):
+            psi.eval_array([1.5, 3.5, 2.0, 4.0])
+        with pytest.raises(ValueError, match=r"exponent nan outside domain"):
+            psi.eval_array([1.5, float("nan"), 2.0])
+        assert np.array_equal(psi.eval_array([1.5, 2.0]),
+                              [psi.eval(1.5), psi.eval(2.0)])
+
 
 @pytest.mark.parametrize("psi", [
     make_power(1.0), make_power(2.0), make_boundary(3, 1, 1),

@@ -137,17 +137,29 @@ class TestVerifyTheorem2:
 
     def test_sup_kind_reduces_to_grand_norm_verdicts(self):
         A, cert, psi, nu, p_pts, q_pts = _magic_instance()
-        rep1 = verify_theorem1(A, cert, psi, nu, samples=300, seed=3,
-                               p_points=p_pts, q_points=q_pts)
         W = sup_mri_norm(psi, grid_from_points(psi.domain, p_pts,
                                                refinement_depth=0))
         R = sup_mri_norm(nu, grid_from_points(nu.domain, q_pts,
                                               refinement_depth=0))
-        rep2 = verify_theorem2(A, cert, W, R, samples=300, seed=3)
-        assert rep2.passed == rep1.passed
-        assert rep2.max_lhs_rhs_ratio == pytest.approx(
-            rep1.max_lhs_rhs_ratio, rel=1e-12)
-        assert rep2.cbar == rep1.cbar
+        for cbar in (None, 10.0):
+            rep1 = verify_theorem1(A, cert, psi, nu, samples=300, seed=3,
+                                   p_points=p_pts, q_points=q_pts, cbar=cbar)
+            rep2 = verify_theorem2(A, cert, W, R, samples=300, seed=3, cbar=cbar)
+            assert rep1 == rep2
+
+    def test_violation_scan_matches_loop(self):
+        # a constant far below the minimal one makes every sample violate, so
+        # the report carries every lhs and rhs; a loop over them is the reference
+        A, cert, psi, nu, p_pts, q_pts = _magic_instance()
+        W = integral_mri_norm(cert.p_interval, s=1.0, points=p_pts)
+        R = integral_mri_norm(cert.q_interval, s=1.0, points=q_pts)
+        rep = verify_theorem2(A, cert, W, R, samples=40, seed=4, cbar=1e-3)
+        assert [v["index"] for v in rep.violations] == list(range(rep.samples))
+        assert rep.max_lhs_rhs_ratio == max(v["lhs"] / v["rhs"] for v in rep.violations)
+        rep0 = verify_theorem2(A, cert, W, R, samples=40, seed=4, cbar=0.0)
+        assert len(rep0.violations) == rep0.samples
+        assert rep0.max_lhs_rhs_ratio == 0.0
+        assert all(v["rhs"] == 0.0 and v["lhs"] > 0.0 for v in rep0.violations)
 
     def test_zero_function_side(self):
         A, cert, psi, nu, p_pts, q_pts = _magic_instance()

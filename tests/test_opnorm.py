@@ -391,6 +391,26 @@ class TestVerifyTheorem1:
         assert rep.passed
         assert rep.max_lhs_rhs_ratio <= 1.0 + 1e-8
 
+    def test_point_order_does_not_matter(self):
+        psi = restrict(make_boundary(8.0, 0.5, 0.5), 4.0, 8.0)
+        nu = restrict(make_boundary(2.0, 0.5, 0.5), 1.0, 2.0)
+        A = MatrixOperator.on_counting([[2.0, 1.0], [0.5, 3.0]])
+        cert = OperatorBoundCertificate(3.0, 10.0, psi.domain, nu.domain)
+        p_pts = exponent_grid(4, 8, 9)
+        q_pts = exponent_grid(1, 2, 9)
+        assert check_sigma_condition(A, cert, p_pts, q_pts, samples=50, seed=1).holds
+        rep = verify_theorem1(A, cert, psi, nu, samples=100, seed=1,
+                              p_points=p_pts, q_points=q_pts, restarts=4)
+        shuffled = [p_pts[i] for i in (4, 0, 8, 2, 6, 1, 7, 3, 5)]
+        rep_rev = verify_theorem1(A, cert, psi, nu, samples=100, seed=1,
+                                  p_points=shuffled, q_points=q_pts[::-1],
+                                  restarts=4)
+        assert rep_rev == rep
+        assert rep.p_points == tuple(p_pts)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            verify_theorem1(A, cert, psi, nu, samples=10, seed=1,
+                            p_points=[4.0, 5.0, 5.0], q_points=q_pts, cbar=1.0)
+
     def test_requires_witnessed_certificate(self):
         psi = restrict(make_power(1.0), 4.0, 8.0)
         A = MatrixOperator.identity(2)
