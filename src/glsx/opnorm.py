@@ -11,7 +11,11 @@ Norm estimation comes in two independent flavors:
   against.
 
 ``minimal_constant`` runs the same ascent over a grid of exponent pairs; it
-is the constant of the extrapolation inequality.  ``verify_theorem1`` checks
+is the constant of the extrapolation inequality.  Where the nesting of Lp
+norms puts the maximum at one end of an exponent axis (atoms of weight at
+least 1 with ``sigma >= 1``, or total mass at most 1 with ``sigma <= 1``),
+that axis collapses to its end, so counting measures with ``sigma >= 1``
+run the corner pair ``(p_min, q_max)`` alone.  ``verify_theorem1`` checks
 that inequality for grand norms: it builds sup-kind moment norms on the two
 exponent grids and runs the engine ``glsx.mri.verify_theorem2``.
 """
@@ -585,7 +589,8 @@ def check_sigma_condition(A: MatrixOperator, cert: OperatorBoundCertificate,
     """Sample the certificate inequality on random functions and grid pairs.
 
     Sets ``cert.witnessed`` on success and reports the worst ratio of
-    left- to right-hand side together with its witness.
+    left- to right-hand side together with its witness.  A sampled norm or
+    factor that is not finite (overflow) raises ``ValueError``.
     """
     p_pts = np.array([as_exponent(p) for p in p_grid])
     q_pts = np.array([as_exponent(qv) for qv in q_grid])
@@ -605,10 +610,13 @@ def check_sigma_condition(A: MatrixOperator, cert: OperatorBoundCertificate,
     inv_p = np.array([inv_exponent(p) for p in p_pts])
     inv_q = np.array([inv_exponent(qv) for qv in q_pts])
     factor = cert.C * cert.sigma ** (inv_q[:, None] - inv_p[None, :])  # (Q, P)
+    if not (np.isfinite(PN).all() and np.isfinite(QN).all() and np.isfinite(factor).all()):
+        raise ValueError("a sampled norm or sigma factor is not finite "
+                         "(overflow); the certificate cannot be checked")
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = PN[:, None, :] / (factor[None, :, :] * QN[:, :, None])
-    ratios = np.nan_to_num(ratios, nan=0.0, posinf=0.0)
+    ratios[np.isnan(ratios)] = 0.0  # 0/0: both sides vanish
     s, qi, pi = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
     worst = float(ratios[s, qi, pi])
     holds = worst <= 1.0 + tol
@@ -627,6 +635,16 @@ class MinimalConstantResult:
         return self.value
 
 
+def _corner(pts: list, sigma: float, space: MeasureSpace, low: bool) -> list:
+    """The sorted axis ``pts``, or the end of it that holds the maximum of
+    ``minimal_constant`` (see there); ``low`` is the end for ``sigma >= 1``."""
+    if sigma >= 1.0 and space.weights.min() >= 1.0:
+        return pts[:1] if low else pts[-1:]
+    if sigma <= 1.0 and space.total_mass <= 1.0:
+        return pts[-1:] if low else pts[:1]
+    return pts
+
+
 def minimal_constant(A: MatrixOperator, sigma: float, p_grid: Sequence[float],
                      q_grid: Sequence[float], samples: int = 32,
                      seed: int = 0, tol: float = 1e-12,
@@ -634,13 +652,27 @@ def minimal_constant(A: MatrixOperator, sigma: float, p_grid: Sequence[float],
     """Lower bound of the minimal certificate constant
     ``sup_g sup_{p,q} sigma**(1/p - 1/q) |Ag|_p / |g|_q`` over the grids.
 
+    An exponent axis whose maximizing end the nesting of Lp norms fixes is
+    cut to that end, since every other point's true value lies below it; the
+    result stays a certified lower bound of the grid maximum.  If every atom
+    of a space weighs at least 1, its norms fall as the exponent grows, and
+    for ``sigma >= 1`` so does ``sigma**(1/p - 1/q)`` in p (it rises in q);
+    for total mass at most 1 and ``sigma <= 1`` both orders reverse (Hardy,
+    Littlewood & Polya).  So the p axis keeps only ``p_min`` (``sigma >= 1``,
+    target atoms at least 1) or only ``p_max`` (``sigma <= 1``, target mass
+    at most 1), the q axis only ``q_max`` (``sigma >= 1``, source atoms at
+    least 1) or only ``q_min`` (``sigma <= 1``, source mass at most 1), and
+    any other axis keeps its whole grid.
+
     ``samples`` seeded random sign vectors join the constant and basis
-    starts of the inner ascent of every (q, p) pair, and a start drawn twice
-    runs once (see ``_ascent_starts``).  All pairs run as one batched ascent
-    with the same start block.  That matches per-pair ``op_norm_lower``
-    calls up to rounding: a lone column of a per-pair call goes through BLAS
-    gemv, where the batch still uses gemm, so a value can differ in its last
-    bits.  Ties resolve toward the lexicographically smallest (p, q).
+    starts of the inner ascent of every remaining (q, p) pair, and a start
+    drawn twice runs once (see ``_ascent_starts``).  All pairs run as one
+    batched ascent with the same start block.  That matches per-pair
+    ``op_norm_lower`` calls up to rounding: a lone column of a per-pair call
+    goes through BLAS gemv, where the batch still uses gemm, so a value can
+    differ in its last bits.  Ties resolve toward the lexicographically
+    smallest remaining (p, q); on a collapsed axis that is its corner.  The
+    zero matrix reports 0 at the smallest (p, q) of the full grids.
     """
     sigma = float(sigma)
     if not (sigma > 0.0 and math.isfinite(sigma)):
@@ -649,9 +681,11 @@ def minimal_constant(A: MatrixOperator, sigma: float, p_grid: Sequence[float],
         raise ValueError("samples (random ascent starts per pair) must be >= 0")
     p_pts = sorted(as_exponent(p) for p in p_grid)
     q_pts = sorted(as_exponent(qv) for qv in q_grid)
-    pairs = [(p, qv) for p in p_pts for qv in q_pts]
     if not A.entries.any():
         return MinimalConstantResult(0.0, p_pts[0], q_pts[0])
+    p_pts = _corner(p_pts, sigma, A.target, low=True)
+    q_pts = _corner(q_pts, sigma, A.source, low=False)
+    pairs = [(p, qv) for p in p_pts for qv in q_pts]
 
     starts, twinned = _ascent_starts(A.source.size, samples, seed)
     n_starts = starts.shape[1]

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from glsx.cli import run
+from glsx.gls import exponent_grid
 
 
 @pytest.fixture
@@ -91,6 +92,17 @@ class TestBasicCommands:
                     "--output", out_path(inputs, "mc.json")])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["cbar"] > 0
+
+    def test_minimal_constant_counting_corner(self, inputs, capsys):
+        # counting measures with sigma >= 1 run the corner (p_min, q_max) alone
+        assert run(["minimal-constant", "--matrix", inputs["A"], "--sigma", "3",
+                    "--p-interval", "4:8", "--q-interval", "1:2",
+                    "--output", out_path(inputs, "mc.json")]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["argmax_p"] == 4.0
+        assert out["argmax_q"] == exponent_grid(1, 2, 17)[-1]
+        # the value of the full 17 x 17 grid run
+        assert out["cbar"] == pytest.approx(8.660249280712561, rel=1e-15, abs=0.0)
 
 
 class TestVerifyCommands:

@@ -101,6 +101,24 @@ def _full_block_ascent(A, qc, pc, G):
                                 np.zeros(G.shape[1], dtype=bool), 1e-12, 200)
 
 
+def _full_grid_constant(A, sigma, p_grid, q_grid, samples, seed):
+    """Every (p, q) pair of the grids and every start, in one full-block
+    ascent; returns the grid maximum and its lexicographically first pair."""
+    pairs = [(p, q) for p in sorted(p_grid) for q in sorted(q_grid)]
+    G = _full_start_block(A.source.size, samples, seed)
+    cols = G.shape[1]
+    best, _ = _full_block_ascent(A, np.repeat([q for _, q in pairs], cols),
+                                 np.repeat([p for p, _ in pairs], cols),
+                                 np.tile(G, len(pairs)))
+    per_pair = best.reshape(len(pairs), cols).max(axis=1)
+    want, arg = -INFINITY, None
+    for (p, q), norm in zip(pairs, per_pair):
+        val = sigma ** (opnorm.inv_exponent(p) - opnorm.inv_exponent(q)) * norm
+        if val > want:
+            want, arg = val, (p, q)
+    return want, arg
+
+
 class TestAscentStarts:
     def test_distinct_in_first_occurrence_order(self):
         for n in (1, 2, 3, 4):
@@ -134,19 +152,8 @@ class TestAscentStarts:
                  (EXPONENTS, EXPONENTS)]
         for A in _start_operators():
             for p_grid, q_grid in grids:
-                pairs = [(p, q) for p in sorted(p_grid) for q in sorted(q_grid)]
                 for samples, seed in ((0, 1), (8, 2), (32, 0)):
-                    G = _full_start_block(A.source.size, samples, seed)
-                    cols = G.shape[1]
-                    best, _ = _full_block_ascent(A, np.repeat([q for _, q in pairs], cols),
-                                                 np.repeat([p for p, _ in pairs], cols),
-                                                 np.tile(G, len(pairs)))
-                    per_pair = best.reshape(len(pairs), cols).max(axis=1)
-                    want, arg = -INFINITY, None
-                    for (p, q), norm in zip(pairs, per_pair):
-                        val = sigma ** (opnorm.inv_exponent(p) - opnorm.inv_exponent(q)) * norm
-                        if val > want:
-                            want, arg = val, (p, q)
+                    want, arg = _full_grid_constant(A, sigma, p_grid, q_grid, samples, seed)
                     got = minimal_constant(A, sigma, p_grid, q_grid, samples=samples,
                                            seed=seed)
                     assert got.value == want
@@ -308,6 +315,15 @@ class TestSigmaCondition:
         rep = check_sigma_condition(A, cert, [2.0, 4.0], [1.0, 1.5], samples=50, seed=1)
         assert rep.holds
 
+    def test_overflow_raises_instead_of_witnessing(self):
+        A = MatrixOperator.on_counting([[1e308, 1e308], [1e308, 1e308]])
+        cert = OperatorBoundCertificate(3.0, 1.0, _interval(4, 8), _interval(1, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="not finite"):
+                check_sigma_condition(A, cert, exponent_grid(4, 8, 17),
+                                      exponent_grid(1, 2, 17), samples=50, seed=0)
+        assert not cert.witnessed
+
     def test_scaled_random_holds_and_witnesses(self):
         rng = np.random.default_rng(3)
         E = rng.uniform(0, 1, (3, 3))
@@ -361,6 +377,99 @@ class TestMinimalConstant:
         want = max(sigma ** (inv_exponent(p) - inv_exponent(qv)) * table[(qv, p)]
                    for p in p_pts for qv in q_pts)
         assert got == pytest.approx(want, rel=1e-4)
+
+
+def _pairs_run(monkeypatch):
+    """Record the distinct (p, q) pairs each ascent batch runs."""
+    runs = []
+    batch = opnorm._ascent_batch
+
+    def spy(E, mu, nu, G, qc, pc, *rest):
+        runs.append(set(zip(pc.tolist(), qc.tolist())))
+        return batch(E, mu, nu, G, qc, pc, *rest)
+
+    monkeypatch.setattr(opnorm, "_ascent_batch", spy)
+    return runs
+
+
+class TestGridCollapse:
+    P_GRID = exponent_grid(4, 8, 5)
+    Q_GRID = exponent_grid(1, 2, 5)
+
+    def test_no_collapse_matches_full_grid(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        runs = _pairs_run(monkeypatch)
+        # atoms below 1 with total mass above 1, then sigma > 1 on probability
+        # measures: neither end of either axis is known to win
+        cases = [(MatrixOperator(rng.uniform(-1, 1, (3, 3)), MeasureSpace([0.5, 2.0, 1.0]),
+                                 MeasureSpace([0.4, 1.5, 0.9])), 3.0),
+                 (MatrixOperator(rng.uniform(0, 1, (3, 2)), MeasureSpace([0.7, 0.8]),
+                                 MeasureSpace([0.5, 0.5, 0.5])), 0.5),
+                 (MatrixOperator(rng.uniform(0, 1, (2, 3)), MeasureSpace.normalized(3),
+                                 MeasureSpace.normalized(2)), 3.0)]
+        for A, sigma in cases:
+            for samples, seed in ((0, 1), (8, 2)):
+                got = minimal_constant(A, sigma, self.P_GRID, self.Q_GRID,
+                                       samples=samples, seed=seed)
+                assert len(runs.pop()) == len(self.P_GRID) * len(self.Q_GRID)
+                want, arg = _full_grid_constant(A, sigma, self.P_GRID, self.Q_GRID,
+                                                samples, seed)
+                assert got.value == want
+                assert (got.argmax_p, got.argmax_q) == arg
+
+    def test_one_axis_collapse(self, monkeypatch):
+        # counting target, probability source, sigma > 1: only p collapses
+        A = MatrixOperator(np.random.default_rng(43).uniform(0, 1, (3, 2)),
+                           MeasureSpace.normalized(2), MeasureSpace.counting(3))
+        runs = _pairs_run(monkeypatch)
+        got = minimal_constant(A, 2.0, self.P_GRID, self.Q_GRID, samples=8, seed=3)
+        assert runs == [{(self.P_GRID[0], q) for q in self.Q_GRID}]
+        want, _ = _full_grid_constant(A, 2.0, self.P_GRID, self.Q_GRID, 8, 3)
+        assert got.argmax_p == self.P_GRID[0]
+        assert got.value >= want * (1.0 - 1e-12)
+
+    def test_corner_bounds_the_full_grid(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        runs = _pairs_run(monkeypatch)
+        for trial in range(12):
+            # signed on odd trials; counting with sigma >= 1 on trials 0, 1
+            # mod 4, probability measures with sigma <= 1 on the rest
+            counting, k = trial % 4 < 2, trial // 4
+            n, m = (int(x) for x in rng.integers(1 if counting else 2, 5, size=2))
+            E = rng.uniform(-1.0 if trial % 2 else 0.0, 1.0, (m, n))
+            if counting:
+                A = MatrixOperator.on_counting(E)
+                sigma = (1.0, 2.0, 4.0)[k]
+                corner = (self.P_GRID[0], self.Q_GRID[-1])
+            else:
+                A = MatrixOperator(E, MeasureSpace.normalized(n), MeasureSpace.normalized(m))
+                sigma = (0.25, 0.5, 1.0)[k]
+                corner = (self.P_GRID[-1], self.Q_GRID[0])
+            got = minimal_constant(A, sigma, self.P_GRID, self.Q_GRID, samples=8, seed=trial)
+            assert runs.pop() == {corner}
+            want, _ = _full_grid_constant(A, sigma, self.P_GRID, self.Q_GRID, 8, trial)
+            assert (got.argmax_p, got.argmax_q) == corner
+            assert got.value >= want * (1.0 - 1e-12)
+
+    def test_grid_with_infinity(self):
+        rng = np.random.default_rng(53)
+        E = rng.uniform(0.0, 1.0, (3, 3))
+        cases = [(MatrixOperator.on_counting(E), 2.0, (1.0, INFINITY)),
+                 (MatrixOperator(E, MeasureSpace.normalized(3), MeasureSpace.normalized(3)),
+                  0.5, (INFINITY, 1.0))]
+        for A, sigma, corner in cases:
+            want, _ = _full_grid_constant(A, sigma, EXPONENTS, EXPONENTS, 8, 0)
+            got = minimal_constant(A, sigma, EXPONENTS, EXPONENTS, samples=8, seed=0)
+            assert (got.argmax_p, got.argmax_q) == corner
+            assert got.value >= want * (1.0 - 1e-12)
+
+    def test_zero_matrix_reports_smallest_pair_of_full_grids(self):
+        zero = np.zeros((2, 2))
+        for A, sigma in ((MatrixOperator.on_counting(zero), 3.0),
+                         (MatrixOperator(zero, MeasureSpace.normalized(2),
+                                         MeasureSpace.normalized(2)), 0.5)):
+            got = minimal_constant(A, sigma, [8.0, 4.0, 6.0], [2.0, 1.0, 1.5])
+            assert (got.value, got.argmax_p, got.argmax_q) == (0.0, 4.0, 1.0)
 
 
 class TestVerifyTheorem1:
