@@ -51,11 +51,12 @@ def _conjugate_on_grid(psi: GeneratingFunction, v: float, grid: PGrid) -> SupRes
     with np.errstate(divide="ignore"):
         values = pts * v - pts * np.log(psiv)  # psi = inf -> -inf
 
-    def objective(p: float) -> float:
-        h = h_of_p(psi, p)
-        if math.isinf(h):
-            return -INFINITY
-        return p * v - h
+    def objective(ps: list) -> list:
+        out = []
+        for p in ps:
+            d = psi.eval(p)  # p * v - h_of_p(psi, p), psi evaluated once
+            out.append(-INFINITY if math.isinf(d) else p * v - p * math.log(d))
+        return out
 
     return sup_over_grid(objective, grid, values=values)
 
@@ -126,6 +127,11 @@ def tail_bound_check(f: GridFunction, psi: GeneratingFunction,
     supremum, the computed bound overestimates the true one, so a reported
     violation is a genuine violation.
     """
+    ts = [float(t) for t in t_grid]
+    for t in ts:
+        if not math.e <= t < INFINITY:  # NaN fails too
+            raise ValueError(
+                f"tail bound thresholds must be finite and satisfy t >= e, got {t}")
     if grid is None:
         grid = default_grid(psi)
     nrm = gls_norm(f, psi, grid)
@@ -133,10 +139,6 @@ def tail_bound_check(f: GridFunction, psi: GeneratingFunction,
         raise ValueError(
             f"tail_bound_check requires a normalized function; grand norm is {nrm.value}"
         )
-    ts = [float(t) for t in t_grid]
-    for t in ts:
-        if t < math.e:
-            raise ValueError(f"tail bound thresholds must satisfy t >= e, got {t}")
     fen_grid = grid.without_infinity()
 
     def row(t: float) -> TailBoundRow:

@@ -1,12 +1,20 @@
 """Grand norms: suprema over the exponent on explicit grids.
 
 Every supremum over a continuum of exponents is computed as a maximum over
-an explicit grid followed by golden-section refinement inside the brackets
-around the two best grid points.  The result is therefore always a LOWER
-bound of the true supremum.  When the discrete maximum sits on the last
-grid point before the (excluded or truncated) right endpoint, the result
-carries an ``endpoint_flag``: the true supremum may keep growing toward the
-boundary and the reported value must not be trusted as a ceiling.
+an explicit grid followed by golden-section refinement (Kiefer 1953) inside
+the brackets around the two best grid points.  The result is therefore
+always a LOWER bound of the true supremum.  When the discrete maximum sits
+on the last grid point before the (excluded or truncated) right endpoint,
+the result carries an ``endpoint_flag``: the true supremum may keep growing
+toward the boundary and the reported value must not be trusted as a
+ceiling.
+
+Objectives are list functions: they map a list of exponents to the list of
+their values, so one call serves every bracket.  The two brackets are
+refined in lockstep, one objective call per golden step.  A candidate
+replaces the incumbent when its value is strictly larger, or equal at a
+smaller exponent; this is a total order, so the result does not depend on
+which bracket offered a candidate first.
 """
 from __future__ import annotations
 
@@ -17,7 +25,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .genfun import ExponentInterval, GeneratingFunction
-from .measure import INFINITY, GridFunction, lp_norm, lp_norm_table
+from .measure import (INFINITY, GridFunction, _log_stage, _root_stage,
+                      lp_norm_table)
 
 #: truncation point for grids on intervals with b = inf
 P_MAX = 1000.0
@@ -98,6 +107,8 @@ class SupResult:
 def exponent_grid(a: float, b: float, n: int, p_max: float = P_MAX,
                   endpoint_offset: Optional[float] = None) -> np.ndarray:
     """Log-spaced exponents on [a, b) backing off the right endpoint."""
+    if n < 1:
+        raise ValueError(f"exponent grid point count must be >= 1, got {n}")
     a = float(a)
     b = float(b)
     if math.isfinite(b):
@@ -141,56 +152,82 @@ def grid_from_points(interval: ExponentInterval, points: Sequence[float],
     return PGrid(interval, pts, eps, refinement_depth, include_infinity)
 
 
-def _golden_max(fn: Callable[[float], float], lo: float, hi: float, iters: int,
-                best: float, best_p: float) -> tuple:
-    """Golden-section maximum search on [lo, hi], keeping the incumbent.
+def _golden_lane(lo: float, hi: float, x1: float, x2: float, f1: float,
+                 f2: float):
+    """One bracket's golden-section trajectory after its first two points.
 
-    A candidate replaces the incumbent only when strictly larger, or equal
-    with a smaller exponent; ties therefore resolve toward smaller p.
+    A generator: each step shrinks ``[lo, hi]`` toward the larger of ``f1``
+    and ``f2`` (left on ties), yields the one new exponent and receives its
+    value through ``send``.  The path depends only on the lane's own values.
     """
-    if hi <= lo or iters <= 0:
-        return best, best_p
-    h = hi - lo
-    x1 = lo + _INVPHI2 * h
-    x2 = lo + _INVPHI * h
-    f1 = fn(x1)
-    f2 = fn(x2)
-    for x, v in ((x1, f1), (x2, f2)):
-        if v > best or (v == best and x < best_p):
-            best, best_p = v, x
-    for _ in range(int(iters)):
+    while True:
         if f1 >= f2:
-            hi = x2
-            x2, f2 = x1, f1
-            h = hi - lo
-            x1 = lo + _INVPHI2 * h
-            f1 = fn(x1)
-            x, v = x1, f1
+            hi, x2, f2 = x2, x1, f1
+            x1 = lo + _INVPHI2 * (hi - lo)
+            f1 = yield x1
         else:
-            lo = x1
-            x1, f1 = x2, f2
-            h = hi - lo
-            x2 = lo + _INVPHI * h
-            f2 = fn(x2)
-            x, v = x2, f2
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INVPHI * (hi - lo)
+            f2 = yield x2
+
+
+def _golden_max(fn: Callable[[list], Sequence[float]], brackets: Sequence[tuple],
+                iters: int, best: float, best_p: float) -> tuple:
+    """Golden-section maximum search of several brackets in lockstep.
+
+    Each ``(lo, hi)`` bracket is a lane; zero-width brackets are dropped.
+    ``fn`` maps a list of exponents to their values and is called once for
+    the first two points of every lane and then once per step for the one
+    new point of every lane: ``1 + iters`` calls in all.  The incumbent
+    ``(best, best_p)`` is replaced by a candidate that is strictly larger,
+    or equal at a smaller exponent.  That rule is a total order on
+    candidates, so the result does not depend on the order of the lanes.
+    """
+    brackets = [(lo, hi) for lo, hi in brackets if hi > lo]
+    if not brackets or iters <= 0:
+        return best, best_p
+    n = len(brackets)
+    xs = ([lo + _INVPHI2 * (hi - lo) for lo, hi in brackets]
+          + [lo + _INVPHI * (hi - lo) for lo, hi in brackets])
+    vs = fn(xs)
+    sends = [_golden_lane(lo, hi, xs[i], xs[n + i], vs[i], vs[n + i]).send
+             for i, (lo, hi) in enumerate(brackets)]
+    for x, v in zip(xs, vs):
         if v > best or (v == best and x < best_p):
             best, best_p = v, x
+    xs = [send(None) for send in sends]
+    lanes = list(range(n))
+    # the step loop builds no zip, map or comprehension objects: at one or
+    # two lanes they cost more than the per-point objectives themselves
+    for _ in range(int(iters)):
+        vs = fn(xs)
+        nxt = []
+        for i in lanes:
+            x = xs[i]
+            v = vs[i]
+            if v > best or (v == best and x < best_p):
+                best, best_p = v, x
+            nxt.append(sends[i](v))
+        xs = nxt
     return best, best_p
 
 
-def sup_over_grid(objective: Callable[[float], float], grid: PGrid,
+def sup_over_grid(objective: Callable[[list], Sequence[float]], grid: PGrid,
                   values: Optional[np.ndarray] = None) -> SupResult:
     """Maximum of ``objective`` over the grid, with golden-section refinement.
 
+    ``objective`` maps a list of exponents to the list of their values.
     ``values`` optionally carries precomputed objective values at
     ``grid.points``.  Objective values may be ``-inf`` (excluded exponents)
     but not ``+inf`` or NaN.  Refinement searches the brackets around the
-    two best separated grid points and never lowers the discrete maximum.
-    Ties resolve toward the smallest exponent.
+    two best separated grid points in lockstep (``_golden_max``: one
+    objective call per step for both) and never lowers the discrete
+    maximum.  Ties resolve toward the smallest exponent.  The INFINITY
+    point, when the grid includes it, is asked for last and alone.
     """
     pts = grid.points_array
     if values is None:
-        values = np.array([float(objective(p)) for p in pts])
+        values = np.asarray(objective(list(grid.points)), dtype=float)
     else:
         values = np.asarray(values, dtype=float)
     if np.any(np.isnan(values)) or np.any(values == INFINITY):
@@ -198,25 +235,25 @@ def sup_over_grid(objective: Callable[[float], float], grid: PGrid,
 
     k = int(np.argmax(values))  # first max = smallest exponent on ties
     best = float(values[k])
-    best_p = float(pts[k])
+    best_p = grid.points[k]
     endpoint_flag = k == pts.size - 1
 
     if grid.refinement_depth > 0 and pts.size >= 2 and math.isfinite(best):
-        brackets = [k]
+        centres = [k]
         if pts.size >= 4:
             masked = values.copy()
             masked[max(k - 1, 0):k + 2] = -INFINITY
             k2 = int(np.argmax(masked))
             if math.isfinite(masked[k2]):
-                brackets.append(k2)
-        for idx in brackets:
-            lo = pts[max(idx - 1, 0)]
-            hi = pts[min(idx + 1, pts.size - 1)]
-            best, best_p = _golden_max(objective, lo, hi, grid.refinement_depth,
-                                       best, best_p)
+                centres.append(k2)
+        last = pts.size - 1
+        brackets = [(grid.points[max(i - 1, 0)], grid.points[min(i + 1, last)])
+                    for i in centres]
+        best, best_p = _golden_max(objective, brackets, grid.refinement_depth,
+                                   best, best_p)
 
     if grid.include_infinity:
-        v_inf = float(objective(INFINITY))
+        v_inf = float(objective([INFINITY])[0])
         if v_inf > best:
             best, best_p = v_inf, INFINITY
             endpoint_flag = False
@@ -244,16 +281,25 @@ def gls_norm(f: GridFunction, psi: GeneratingFunction,
         grid = default_grid(psi)
     _check_grid_in_domain(grid, psi)
     pts = grid.points_array
-    profile = lp_norm_table(f.values, f.space.weights, pts)
+    w = f.space.weights
+    absv = np.abs(f.values)[None, :]
+    peak = absv.max(axis=1, keepdims=True)
+    logs = _log_stage(absv, peak)  # shared by the grid pass and every step
+    profile = _root_stage(logs, peak, w, pts)[0]
     psiv = psi.eval_array(pts)
     with np.errstate(invalid="ignore"):
         ratios = profile / psiv  # finite / inf = 0
 
-    def objective(p: float) -> float:
-        denom = psi.eval(p)
-        if math.isinf(denom):
-            return 0.0
-        return lp_norm(f, p) / denom
+    def objective(ps: list) -> list:
+        if ps[0] == INFINITY:  # asked for alone
+            norms = [float(peak[0, 0])]
+        else:
+            norms = _root_stage(logs, peak, w, np.array(ps))[0].tolist()
+        out = []
+        for p, norm in zip(ps, norms):
+            d = psi.eval(p)
+            out.append(0.0 if math.isinf(d) else norm / d)
+        return out
 
     return sup_over_grid(objective, grid, values=ratios)
 
@@ -271,11 +317,13 @@ def fundamental_function(psi: GeneratingFunction, delta: float,
     psiv = psi.eval_array(pts)
     values = np.power(delta, 1.0 / pts) / psiv
 
-    def objective(p: float) -> float:
-        denom = psi.eval(p)
-        if math.isinf(denom):
-            return 0.0
-        return delta ** (1.0 / p) / denom  # delta**0 = 1 at p = inf
+    def objective(ps: list) -> list:
+        out = []
+        for p in ps:
+            d = psi.eval(p)
+            # delta**0 = 1 at p = inf
+            out.append(0.0 if math.isinf(d) else delta ** (1.0 / p) / d)
+        return out
 
     return sup_over_grid(objective, grid, values=values)
 

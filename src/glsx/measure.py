@@ -16,6 +16,8 @@ rescaled form ``M * (sum_j w[j] * exp(p * log(|f[j]|/M)))**(1/p)`` with
 to ``1e4`` and beyond; every term is nonnegative, so numpy's pairwise
 summation is accurate to a few ulps at any size.  ``INFINITY`` gives ``M``.
 A norm does not depend on which other exponents or rows share its call.
+``gls_norm`` calls the kernel's two stages itself, ``_log_stage`` once and
+``_root_stage`` per batch of exponents, and gets the same norms.
 """
 from __future__ import annotations
 
@@ -145,8 +147,20 @@ def _row_norms(V: np.ndarray, w: np.ndarray, ps: np.ndarray) -> np.ndarray:
 def _finite_norms(absv: np.ndarray, mx: np.ndarray, w: np.ndarray,
                   ps: np.ndarray) -> np.ndarray:
     """``_row_norms`` for finite exponents, given ``|V|`` and its row maxima."""
+    return _root_stage(_log_stage(absv, mx), mx, w, ps)
+
+
+def _log_stage(absv: np.ndarray, mx: np.ndarray) -> np.ndarray:
+    """``log(|V| / M)`` per row (``-inf`` at zeros): the exponent-free half
+    of ``_finite_norms``, which a caller may keep across many exponents."""
     with np.errstate(divide="ignore"):
-        logs = np.log(absv / np.where(mx > 0.0, mx, 1.0))  # -inf at zeros
+        return np.log(absv / np.where(mx > 0.0, mx, 1.0))
+
+
+def _root_stage(logs: np.ndarray, mx: np.ndarray, w: np.ndarray,
+                ps: np.ndarray) -> np.ndarray:
+    """``M * (sum_j w[j] * exp(p * logs[j]))**(1/p)``: the exp/sum/root half
+    of ``_finite_norms`` for finite exponents ``ps``."""
     terms = ps[..., None] * logs[:, None, :]
     np.exp(terms, out=terms)
     terms *= w

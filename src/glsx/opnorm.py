@@ -370,13 +370,15 @@ def _oracle_polish(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     Row ``i`` is one search: the angles ``theta[i]`` of a direction with
     sign pattern ``signs[i]``, maximizing the ``qc[i] -> pc[i]`` ratio from
     the incumbent value ``best[i]``.  Each of 3 rounds searches every angle
-    within one grid ``step`` (clipped to [0, pi/2]) by the golden-section
-    rule of ``gls._golden_max``: 2 + 60 evaluations, a point wins when its
-    value is strictly larger or equal at a smaller angle, and the angle
-    moves only on a strict improvement.  Every step evaluates all rows with
-    one batched product and one kernel call for the source and target norms
-    together (two when the two measures differ).  Returns the polished
-    values.
+    within one grid ``step`` (clipped to [0, pi/2]) by golden section with
+    the incumbent rule of ``gls._golden_max``: 2 + 60 evaluations, a point
+    wins when its value is strictly larger or equal at a smaller angle, and
+    the angle moves only on a strict improvement.  The rows step as numpy
+    arrays, where ``gls._golden_max`` steps its one or two brackets as
+    Python floats; each form is the faster one at its lane count.  Every
+    step evaluates all rows with one batched product and one kernel call
+    for the source and target norms together (two when the two measures
+    differ).  Returns the polished values.
     """
     Es = E[None, :, :] * signs[:, None, :]
     rows = qc.size

@@ -247,6 +247,26 @@ class TestErrorHandling:
                     "--output", out]) == 2
         assert "not finite" in capsys.readouterr().err
 
+    def test_non_finite_threshold(self, inputs, capsys):
+        for ts, bad in (("nan", "nan"), ("3,inf", "inf")):
+            assert run(["fenchel-tail", "--function", inputs["f"], "--psi",
+                        inputs["psi"], "--t", ts, "--normalize",
+                        "--output", out_path(inputs, "t.csv")]) == 2
+            err = capsys.readouterr().err
+            assert "thresholds must be finite" in err and f"got {bad}" in err
+
+    def test_grid_point_count(self, inputs, capsys):
+        for command, args in (("gls-norm", ["--function", inputs["f"]]),
+                              ("fundamental", ["--delta", "9"]),
+                              ("fenchel-tail", ["--function", inputs["f"], "--t", "e",
+                                                "--normalize"])):
+            for count in ("-1", "0"):
+                assert run([command, *args, "--psi", inputs["psi"],
+                            "--grid-points", count,
+                            "--output", out_path(inputs, "x.json")]) == 2
+                err = capsys.readouterr().err
+                assert f"point count must be >= 1, got {count}" in err
+
     def test_bad_exponent(self, inputs, capsys):
         assert run(["opnorm", "--matrix", inputs["A"], "--q", "0.5", "--p", "2",
                     "--output", out_path(inputs, "x.json")]) == 2

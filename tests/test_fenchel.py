@@ -125,3 +125,10 @@ class TestTailBoundCheck:
         f = GridFunction.on_counting([0.1, 0.1])
         with pytest.raises(ValueError):
             tail_bound_check(f, psi, [2.0])
+
+    def test_rejects_non_finite_threshold(self):
+        psi = make_power(2.0)
+        f = GridFunction.on_counting([0.1, 0.1])
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"got {t}"):
+                tail_bound_check(f, psi, [3.0, t])

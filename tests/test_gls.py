@@ -1,15 +1,17 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from glsx import (GridFunction, PGrid,
+from glsx import (GridFunction, MeasureSpace, PGrid,
                   classical_grand_norm, constant_function, default_grid,
                   fundamental_function, gls_norm, grid_from_points, lp_norm,
-                  make_classical_grand, make_degenerate, make_power,
-                  natural_function, sup_over_grid)
+                  make_boundary, make_classical_grand, make_degenerate,
+                  make_power, natural_function, sup_over_grid, young_fenchel)
+from glsx import gls
 from glsx.genfun import ExponentInterval
 
 finite_values = st.lists(
@@ -27,34 +29,34 @@ def simple_grid(a=1.0, b=8.0, n=64, depth=40):
 class TestSupOverGrid:
     def test_constant_ties_to_smallest(self):
         grid = simple_grid()
-        res = sup_over_grid(lambda p: 1.0, grid)
+        res = sup_over_grid(lambda ps: [1.0 for _ in ps], grid)
         assert res.value == 1.0
         assert res.argmax_p == grid.points[0]
 
     def test_quadratic_peak_refined(self):
         grid = grid_from_points(ExponentInterval(1.0, 3.5),
                                 np.linspace(1.0, 3.0, 21), refinement_depth=60)
-        res = sup_over_grid(lambda p: -((p - 2.0) ** 2), grid)
+        res = sup_over_grid(lambda ps: [-((p - 2.0) ** 2) for p in ps], grid)
         assert res.value == pytest.approx(0.0, abs=1e-12)
         assert res.argmax_p == pytest.approx(2.0, abs=1e-6)
 
     def test_decreasing_attains_left_end(self):
         grid = grid_from_points(ExponentInterval(1.0, 4.0),
                                 np.linspace(1.0, 3.9, 30))
-        res = sup_over_grid(lambda p: 1.0 / p, grid)
+        res = sup_over_grid(lambda ps: [1.0 / p for p in ps], grid)
         assert res.value == 1.0
         assert res.argmax_p == 1.0
         assert not res.endpoint_flag
 
     def test_endpoint_flag_on_growth(self):
         grid = simple_grid()
-        res = sup_over_grid(lambda p: p, grid)
+        res = sup_over_grid(lambda ps: list(ps), grid)
         assert res.endpoint_flag
 
     def test_rejects_nan(self):
         grid = simple_grid(n=4)
         with pytest.raises(ValueError):
-            sup_over_grid(lambda p: float("nan"), grid)
+            sup_over_grid(lambda ps: [float("nan") for _ in ps], grid)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -211,3 +213,172 @@ class TestClassicalGrandNorm:
             classical_grand_norm(f, 2.0, [0.5, 1.5])
         with pytest.raises(ValueError):
             classical_grand_norm(f, 2.0, [0.0])
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def _sequential_golden_max(fn, lo, hi, iters, best, best_p):
+    """The one-bracket, one-point-per-call golden search that the lockstep
+    engine replaced, kept verbatim as the reference."""
+    if hi <= lo or iters <= 0:
+        return best, best_p
+    h = hi - lo
+    x1 = lo + _INVPHI2 * h
+    x2 = lo + _INVPHI * h
+    f1 = fn(x1)
+    f2 = fn(x2)
+    for x, v in ((x1, f1), (x2, f2)):
+        if v > best or (v == best and x < best_p):
+            best, best_p = v, x
+    for _ in range(int(iters)):
+        if f1 >= f2:
+            hi = x2
+            x2, f2 = x1, f1
+            h = hi - lo
+            x1 = lo + _INVPHI2 * h
+            f1 = fn(x1)
+            x, v = x1, f1
+        else:
+            lo = x1
+            x1, f1 = x2, f2
+            h = hi - lo
+            x2 = lo + _INVPHI * h
+            f2 = fn(x2)
+            x, v = x2, f2
+        if v > best or (v == best and x < best_p):
+            best, best_p = v, x
+    return best, best_p
+
+
+def _sequential_engine(fn, brackets, iters, best, best_p):
+    """Reference for ``gls._golden_max``: the brackets one after another,
+    every point in its own objective call."""
+    def scalar(p):
+        return fn([p])[0]
+
+    for lo, hi in brackets:
+        best, best_p = _sequential_golden_max(scalar, lo, hi, iters, best, best_p)
+    return best, best_p
+
+
+def _bits(x):
+    return struct.pack("<d", float(x))
+
+
+def _same(a, b):
+    return _bits(a) == _bits(b)
+
+
+def _results(f, psi, grid, delta, v):
+    g = gls_norm(f, psi, grid)
+    d = fundamental_function(psi, delta, grid)
+    y = young_fenchel(psi, v, grid)
+    return [(g.value, g.argmax_p, g.endpoint_flag),
+            (d.value, d.argmax_p, d.endpoint_flag),
+            (y.hstar, y.argmax_p, (y.endpoint_flag, y.possibly_infinite))]
+
+
+class TestLockstepMatchesSequential:
+    """The lockstep refinement reproduces the sequential one bit for bit."""
+
+    def _compare(self, monkeypatch, f, psi, grid, delta, v):
+        got = _results(f, psi, grid, delta, v)
+        with monkeypatch.context() as m:
+            m.setattr(gls, "_golden_max", _sequential_engine)
+            want = _results(f, psi, grid, delta, v)
+        for (gv, ga, gf), (wv, wa, wf) in zip(got, want):
+            assert _same(gv, wv) and _same(ga, wa) and gf == wf
+
+    @pytest.mark.parametrize("n_points", [1, 2, 3, 4, 5, 64])
+    @pytest.mark.parametrize("depth", [1, 40])
+    def test_grid_sizes_and_depths(self, monkeypatch, n_points, depth):
+        rng = np.random.default_rng(100 * n_points + depth)
+        for psi in (make_power(1.0), make_power(2.0), make_boundary(3.0, 1.0, 1.0)):
+            grid = default_grid(psi, n_points=n_points, refinement_depth=depth)
+            for weights in (np.ones(6), np.full(6, 1.0 / 6), rng.random(6) + 0.1):
+                f = GridFunction(MeasureSpace(weights), rng.standard_normal(6))
+                self._compare(monkeypatch, f, psi, grid, 0.1 + 9 * rng.random(),
+                              rng.uniform(-1.0, 5.0))
+
+    def test_infinite_psi_and_masked_second_bracket(self, monkeypatch):
+        # boundary(3, 1, 1) is +inf at a = 1; the degenerate kind is +inf
+        # off its anchor, so the conjugate's second bracket masks to -inf
+        rng = np.random.default_rng(7)
+        for psi in (make_boundary(3.0, 1.0, 1.0), make_boundary(3.0, 0.0, 2.0),
+                    make_degenerate(2.0), make_degenerate(3.5)):
+            for n_points in (2, 4, 32):
+                grid = default_grid(psi, n_points=n_points)
+                f = GridFunction.on_counting(rng.standard_normal(9))
+                self._compare(monkeypatch, f, psi, grid, 3.0, 1.5)
+
+    def test_include_infinity(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        family = [GridFunction.on_counting(rng.standard_normal(5)) for _ in range(3)]
+        for psi in (constant_function(1.5),
+                    natural_function(family, np.geomspace(1.0, 40.0, 12))):
+            grid = default_grid(psi, n_points=16)
+            assert grid.include_infinity
+            for f in family:
+                self._compare(monkeypatch, f, psi, grid, 0.5, 0.2)
+
+    def test_random_cases(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        psis = (make_power(1.0), make_power(0.5), make_classical_grand(3.0),
+                make_boundary(8.0, 0.5, 0.5))
+        for _ in range(60):
+            psi = psis[rng.integers(len(psis))]
+            grid = default_grid(psi, n_points=int(rng.choice([2, 3, 7, 40])),
+                                refinement_depth=int(rng.choice([1, 2, 40])))
+            n = int(rng.integers(1, 30))
+            values = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+            values[rng.random(n) < 0.2] = 0.0
+            kind = rng.integers(3)
+            weights = (np.ones(n) if kind == 0 else np.full(n, 1.0 / n) if kind == 1
+                       else rng.random(n) + 0.01)
+            f = GridFunction(MeasureSpace(weights), values)
+            self._compare(monkeypatch, f, psi, grid, float(10.0 ** rng.uniform(-2, 2)),
+                          rng.uniform(-2.0, 6.0))
+
+    def test_engine_brackets(self):
+        # zero-width and reversed brackets are skipped, as the sequential
+        # search skipped them; depth 0 returns the incumbent
+        calls = []
+
+        def fn(ps):
+            calls.append(len(ps))
+            return [math.sin(3.0 * p) - 0.1 * p for p in ps]
+
+        cases = [[(2.0, 2.0)], [(2.0, 2.0), (1.0, 3.0)], [(3.0, 1.0), (0.5, 0.9)],
+                 [(1.0, 1.5), (4.0, 7.0)], [(4.0, 7.0), (1.0, 1.5)]]
+        for brackets in cases:
+            for depth in (0, 1, 40):
+                for best, best_p in ((-1e9, 0.0), (0.5, 2.0), (2.0, 9.0)):
+                    got = gls._golden_max(fn, brackets, depth, best, best_p)
+                    want = _sequential_engine(fn, brackets, depth, best, best_p)
+                    assert _same(got[0], want[0]) and _same(got[1], want[1])
+        calls.clear()
+        gls._golden_max(fn, [(1.0, 1.5), (2.0, 2.0), (4.0, 7.0)], 40, -1e9, 0.0)
+        assert calls == [4] + [2] * 40
+
+
+class TestCachedLogPath:
+    def test_refined_value_is_lp_norm_over_psi(self):
+        # the cached logs give the same norm as a fresh lp_norm at the argmax
+        rng = np.random.default_rng(10)
+        refined = 0
+        for size in (2, 7, 64, 1001, 2500):
+            for psi in (make_power(1.0), make_power(2.0), make_boundary(3.0, 1.0, 1.0)):
+                values = rng.standard_normal(size)
+                values[rng.random(size) < 0.25] = 0.0
+                for weights in (np.full(size, 1.0 / size), rng.random(size) + 0.01):
+                    f = GridFunction(MeasureSpace(weights), values)
+                    grid = default_grid(psi, n_points=24)
+                    res = gls_norm(f, psi, grid)
+                    if res.argmax_p in grid.points:
+                        continue
+                    refined += 1
+                    assert _same(res.value,
+                                 lp_norm(f, res.argmax_p) / psi.eval(res.argmax_p))
+        assert refined >= 10
