@@ -14,13 +14,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _parallel
 from .genfun import GeneratingFunction
 from .gls import PGrid, SupResult, default_grid, gls_norm, sup_over_grid
 from .measure import INFINITY, GridFunction, as_exponent, tail_function
 
 #: relative growth under grid extension that flags a possibly infinite conjugate
 _GROWTH_FLAG = 0.01
+
+#: ``hstar(log t)`` per ``(id(psi), grid, t)`` for ``tail_bound_check``; each
+#: entry keeps its psi alive, so the id cannot pass to another object
+_CONJUGATE_CACHE: dict = {}
 
 
 def h_of_p(psi: GeneratingFunction, p: float) -> float:
@@ -140,12 +143,24 @@ def tail_bound_check(f: GridFunction, psi: GeneratingFunction,
             f"tail_bound_check requires a normalized function; grand norm is {nrm.value}"
         )
     fen_grid = grid.without_infinity()
-
-    def row(t: float) -> TailBoundRow:
-        hstar = young_fenchel(psi, math.log(t), fen_grid).hstar
+    rows = []
+    for t in ts:
+        hstar = _conjugate_at(psi, fen_grid, t)
         bound = math.exp(-hstar) if not math.isinf(hstar) else 0.0
         tail = tail_function(f, t)
-        return TailBoundRow(t, tail, bound, tail <= bound * (1.0 + tol))
+        rows.append(TailBoundRow(t, tail, bound, tail <= bound * (1.0 + tol)))
+    return TailBoundReport(tuple(rows), all(r.ok for r in rows), nrm.value)
 
-    rows = tuple(_parallel.thread_map(row, ts))
-    return TailBoundReport(rows, all(r.ok for r in rows), nrm.value)
+
+def _conjugate_at(psi: GeneratingFunction, grid: PGrid, t: float) -> float:
+    """``young_fenchel(psi, log t, grid).hstar``, cached: it does not depend
+    on the function whose tails it bounds."""
+    key = (id(psi), grid, t)
+    hit = _CONJUGATE_CACHE.get(key)
+    if hit is not None:
+        return hit[1]
+    hstar = young_fenchel(psi, math.log(t), grid).hstar
+    if len(_CONJUGATE_CACHE) >= 256:
+        _CONJUGATE_CACHE.clear()
+    _CONJUGATE_CACHE[key] = (psi, hstar)
+    return hstar

@@ -15,6 +15,16 @@ refined in lockstep, one objective call per golden step.  A candidate
 replaces the incumbent when its value is strictly larger, or equal at a
 smaller exponent; this is a total order, so the result does not depend on
 which bracket offered a candidate first.
+
+``gls_norm`` computes the Lp profile only at the grid points that could be
+the grid argmax or the second bracket centre.  ``t = 1/p -> log ||f||_{1/t}``
+is convex (Lyapunov's inequality; Hardy, Littlewood & Polya), so between two
+evaluated grid points the profile lies below the chord of its logarithm.  A
+point whose chord bound, widened by a relative slack of 1e-9 and divided by
+psi, falls strictly below every candidate cannot be either; it enters the
+grid maximum as ``-inf``.  A guard evaluates every point when subnormal
+rounding could exceed the slack.  The grid argmax, the second centre, the
+endpoint flag and hence every value come out as from a full pass.
 """
 from __future__ import annotations
 
@@ -35,6 +45,16 @@ DEFAULT_REFINEMENT = 40
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+#: relative widening of the chord bound in ``_grid_ratios``.  Under its
+#: guard every rounding in the kernel is relative: exponent products below
+#: 745 in magnitude, pairwise sums and roots keep a norm within about 1e-13
+#: of its exact value, and the chord arithmetic on logs of that size adds
+#: about as much.  1e-9 leaves four orders of margin.
+_CHORD_SLACK = 1e-9
+#: evenly spaced grid indices (first and last included) of the first pass
+_FIRST_PASS = 17
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -268,6 +288,50 @@ def _check_grid_in_domain(grid: PGrid, psi: GeneratingFunction) -> None:
         raise ValueError("grid includes INFINITY but psi is not defined there")
 
 
+def _grid_ratios(logs: np.ndarray, peak: np.ndarray, w: np.ndarray,
+                 pts: np.ndarray, psiv: np.ndarray) -> np.ndarray:
+    """``lp_norm / psi`` at every grid point that could be the grid argmax
+    or the second bracket centre of ``sup_over_grid``; ``-inf`` elsewhere.
+
+    The first pass evaluates ``_FIRST_PASS`` evenly spaced points.  Each
+    later pass evaluates, in one kernel call, every point whose chord bound
+    ``exp(chord) * (1 + _CHORD_SLACK) / psi`` is not a number strictly below
+    ``T``, the best ratio outside the +-1 window of the best (``T`` is also
+    at most the best).  A point below ``T`` ties neither the argmax nor the
+    masked second maximum.  The slack is relative, so the guard sets
+    ``T = -inf`` and evaluates every point unless every weight is at least
+    ``tiny * (mass + n)`` (the kernel's subnormal terms then round below
+    the slack) and every evaluated norm is a normal float.
+    """
+    n = pts.size
+    nt = -1.0 / pts  # -1/p rises along the grid, as np.interp needs
+    ratios = np.full(n, -INFINITY)
+    log_prof = np.empty(n)
+    done = np.zeros(n, dtype=bool)
+    batch = np.unique(np.arange(_FIRST_PASS) * (n - 1) // (_FIRST_PASS - 1))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        exact = w.min() >= (w.sum() + w.size) * _TINY
+        while batch.size:
+            prof = _root_stage(logs, peak, w, pts[batch])[0]
+            # the weighted sum falls as p grows, so the first grid point,
+            # always evaluated, shows any overflow
+            if not np.isfinite(prof).all():
+                raise ValueError("the Lp norm of f is not finite at p = "
+                                 f"{pts[batch][~np.isfinite(prof)][0]}")
+            exact = exact and prof.min() >= _TINY
+            ratios[batch] = prof / psiv[batch]  # finite / inf = 0
+            log_prof[batch] = np.log(prof)
+            done[batch] = True
+            k = int(ratios.argmax())
+            masked = ratios.copy()
+            masked[max(k - 1, 0):k + 2] = -INFINITY
+            T = masked.max() if exact else -INFINITY
+            chord = np.interp(nt, nt[done], log_prof[done])
+            bound = np.exp(chord) * (1.0 + _CHORD_SLACK) / psiv
+            batch = np.flatnonzero(~(done | (bound < T)))  # NaN never skips
+    return ratios
+
+
 def gls_norm(f: GridFunction, psi: GeneratingFunction,
              grid: Optional[PGrid] = None) -> SupResult:
     """Grand norm ``sup_p lp_norm(f, p) / psi(p)`` over the grid.
@@ -276,6 +340,14 @@ def gls_norm(f: GridFunction, psi: GeneratingFunction,
     convention), so the degenerate kind reduces exactly to ``lp_norm(f, r)``
     through its anchor.  The result is a lower bound of the continuum
     supremum; see the module docstring for the endpoint flag semantics.
+
+    The grid pass (``_grid_ratios``) skips the points that Lyapunov's chord
+    rules out: their chord bound, widened by the relative slack 1e-9
+    (``_CHORD_SLACK``, far above the kernel's rounding), over the exact
+    ``psi`` falls strictly below every candidate for the argmax and the
+    second bracket.  A guard evaluates every point when subnormal rounding
+    could exceed the slack.  Value, argmax and flag equal those of the full
+    pass.  Raises ``ValueError`` when the Lp norm of f overflows.
     """
     if grid is None:
         grid = default_grid(psi)
@@ -285,10 +357,7 @@ def gls_norm(f: GridFunction, psi: GeneratingFunction,
     absv = np.abs(f.values)[None, :]
     peak = absv.max(axis=1, keepdims=True)
     logs = _log_stage(absv, peak)  # shared by the grid pass and every step
-    profile = _root_stage(logs, peak, w, pts)[0]
-    psiv = psi.eval_array(pts)
-    with np.errstate(invalid="ignore"):
-        ratios = profile / psiv  # finite / inf = 0
+    ratios = _grid_ratios(logs, peak, w, pts, psi.eval_array(pts))
 
     def objective(ps: list) -> list:
         if ps[0] == INFINITY:  # asked for alone

@@ -216,12 +216,25 @@ def grid_function_from_spec(spec: dict) -> GridFunction:
     """
     if not isinstance(spec, dict) or "values" not in spec:
         raise ValueError('grid function spec needs a "values" list')
-    values = np.asarray(spec["values"], dtype=float)
+    values = _spec_numbers(spec, "values")
     if "weights" in spec and spec["weights"] is not None:
-        space = MeasureSpace(np.asarray(spec["weights"], dtype=float))
+        space = MeasureSpace(_spec_numbers(spec, "weights"))
     else:
         space = MeasureSpace.counting(values.size)
     return GridFunction(space, values)
+
+
+def _spec_numbers(spec: dict, name: str) -> np.ndarray:
+    """The list ``spec[name]`` as floats; booleans, strings and other
+    non-numbers are rejected rather than coerced."""
+    raw = spec[name]
+    if not isinstance(raw, (list, tuple)) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw):
+        raise ValueError(f'grid function spec "{name}" must be a list of numbers')
+    try:
+        return np.array(raw, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f'grid function spec "{name}" must be finite') from None
 
 
 def grid_function_to_spec(f: GridFunction) -> dict:

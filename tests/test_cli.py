@@ -1,6 +1,13 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from glsx.cli import run
 from glsx.gls import exponent_grid
@@ -31,6 +38,41 @@ def inputs(tmp_path):
 
 def out_path(inputs, name):
     return str(inputs["dir"] / name)
+
+
+_not_a_number = st.one_of(st.booleans(), st.text(max_size=4), st.none(),
+                          st.lists(st.floats(0.5, 2.0), max_size=2),
+                          st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+                          st.integers(min_value=10 ** 309, max_value=10 ** 400))
+_not_a_list = st.one_of(st.text(max_size=4), st.floats(0.5, 2.0), st.integers(),
+                        st.booleans(),
+                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+@st.composite
+def malformed_function_specs(draw):
+    """Function specs that are each wrong in one way."""
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6))
+    weights = [1.0] * len(values)
+    spec = {"values": values, "weights": weights}
+    flaw = draw(st.sampled_from(["entry", "field", "range", "length", "shape"]))
+    name = draw(st.sampled_from(["values", "weights"]))
+    index = draw(st.integers(0, len(values) - 1))
+    if flaw == "entry":
+        spec[name][index] = draw(_not_a_number)
+    elif flaw == "field":
+        spec[name] = draw(_not_a_list if name == "weights" else st.one_of(_not_a_list,
+                                                                           st.none()))
+    elif flaw == "range":
+        bad = (draw(st.sampled_from([math.nan, math.inf, -math.inf])) if name == "values"
+               else draw(st.sampled_from([0.0, -1.0, math.nan, math.inf])))
+        spec[name][index] = bad
+    elif flaw == "length":
+        spec[name] = spec[name] + [1.0] if draw(st.booleans()) else []
+    else:
+        spec = draw(st.one_of(st.just({"weights": weights}), st.lists(st.floats(), max_size=2),
+                              st.text(max_size=4), st.integers()))
+    return spec
 
 
 class TestBasicCommands:
@@ -246,6 +288,47 @@ class TestErrorHandling:
                     "--nu", inputs["nu12"], "--sigma", "3", "--samples", "50",
                     "--output", out]) == 2
         assert "not finite" in capsys.readouterr().err
+
+    def test_norm_overflow_names_the_exponent(self, inputs, tmp_path, capsys):
+        huge = tmp_path / "huge_f.json"
+        huge.write_text(json.dumps({"values": [1e308, 1e308], "weights": [1e308, 1e308]}))
+        for command, extra in (("gls-norm", []),
+                               ("fenchel-tail", ["--t", "e", "--normalize"])):
+            assert run([command, "--function", str(huge), "--psi", inputs["psi"], *extra,
+                        "--output", out_path(inputs, "x.json")]) == 2
+            assert "Lp norm of f is not finite at p = 1.0" in capsys.readouterr().err
+
+    def test_non_numeric_function_entries(self, inputs, tmp_path, capsys):
+        bad = tmp_path / "bad_f.json"
+        for spec, field in (({"values": [True, False]}, "values"),
+                            ({"values": ["1.5"]}, "values"),
+                            ({"values": [1.0, 2.0], "weights": [1, True]}, "weights"),
+                            ({"values": [1.0], "weights": ["0.5"]}, "weights")):
+            bad.write_text(json.dumps(spec))
+            for command, extra in (("gls-norm", []),
+                                   ("fenchel-tail", ["--t", "e", "--normalize"])):
+                assert run([command, "--function", str(bad), "--psi", inputs["psi"],
+                            *extra, "--output", out_path(inputs, "x.json")]) == 2
+                assert f'"{field}" must be a list of numbers' in capsys.readouterr().err
+
+    @given(spec=malformed_function_specs())
+    def test_malformed_function_specs(self, spec):
+        # every malformed spec is bad input: exit 2 and a one-line message
+        with tempfile.TemporaryDirectory() as tmp:
+            f = Path(tmp) / "f.json"
+            f.write_text(json.dumps(spec))
+            psi = Path(tmp) / "psi.json"
+            psi.write_text(json.dumps({"kind": "power", "m": 2}))
+            for command, extra in (("gls-norm", []),
+                                   ("fenchel-tail", ["--t", "e", "--normalize"])):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    code = run([command, "--function", str(f), "--psi", str(psi),
+                                *extra, "--output", str(Path(tmp) / "out.json")])
+                assert code == 2
+                assert err.getvalue().startswith("error: ")
+                assert "Traceback" not in err.getvalue()
 
     def test_non_finite_threshold(self, inputs, capsys):
         for ts, bad in (("nan", "nan"), ("3,inf", "inf")):

@@ -13,6 +13,7 @@ from glsx import (GridFunction, MeasureSpace, PGrid,
                   make_power, natural_function, sup_over_grid, young_fenchel)
 from glsx import gls
 from glsx.genfun import ExponentInterval
+from glsx.measure import _log_stage, _root_stage
 
 finite_values = st.lists(
     st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
@@ -382,3 +383,156 @@ class TestCachedLogPath:
                     assert _same(res.value,
                                  lp_norm(f, res.argmax_p) / psi.eval(res.argmax_p))
         assert refined >= 10
+
+
+def _full_grid_ratios(logs, peak, w, pts, psiv):
+    """The full grid pass that the chord pruning replaced, kept verbatim as
+    the reference."""
+    profile = _root_stage(logs, peak, w, pts)[0]
+    with np.errstate(invalid="ignore"):
+        ratios = profile / psiv  # finite / inf = 0
+    return ratios
+
+
+def _centres(ratios):
+    k = int(np.argmax(ratios))
+    masked = ratios.copy()
+    masked[max(k - 1, 0):k + 2] = -math.inf
+    k2 = int(np.argmax(masked))
+    return k, k2, _bits(ratios[k]), _bits(masked[k2])
+
+
+def _weights(rng, n, kind):
+    return (np.ones(n) if kind == 0 else np.full(n, 1.0 / n) if kind == 1
+            else rng.random(n) + 0.01)
+
+
+class TestChordPruning:
+    """The pruned grid pass gives the full pass's value, argmax and flag."""
+
+    def _compare(self, monkeypatch, f, psi, grid):
+        # the grid argmax and the second centre, as sup_over_grid picks them
+        pts = grid.points_array
+        absv = np.abs(f.values)[None, :]
+        peak = absv.max(axis=1, keepdims=True)
+        args = (_log_stage(absv, peak), peak, f.space.weights, pts, psi.eval_array(pts))
+        assert _centres(gls._grid_ratios(*args)) == _centres(_full_grid_ratios(*args))
+        got = gls_norm(f, psi, grid)
+        with monkeypatch.context() as m:
+            m.setattr(gls, "_grid_ratios", _full_grid_ratios)
+            want = gls_norm(f, psi, grid)
+        assert _same(got.value, want.value) and _same(got.argmax_p, want.argmax_p)
+        assert got.endpoint_flag == want.endpoint_flag
+
+    @pytest.mark.parametrize("n_points", [1, 2, 17, 18, 256])
+    @pytest.mark.parametrize("depth", [0, 1, 40])
+    def test_grid_sizes_and_depths(self, monkeypatch, n_points, depth):
+        rng = np.random.default_rng(1000 * n_points + depth)
+        # boundary(3, 1, 1) is +inf at a = 1, the degenerate kind off its anchor
+        for psi in (make_power(1.0), make_power(2.0), make_boundary(3.0, 1.0, 1.0),
+                    make_degenerate(2.0), make_classical_grand(3.0)):
+            grid = default_grid(psi, n_points=n_points, refinement_depth=depth)
+            for size in (1, 5, 300):
+                for kind in range(3):
+                    values = rng.standard_normal(size)
+                    values[rng.random(size) < 0.2] = 0.0
+                    f = GridFunction(MeasureSpace(_weights(rng, size, kind)), values)
+                    self._compare(monkeypatch, f, psi, grid)
+
+    @pytest.mark.parametrize("depth", [0, 40])
+    def test_include_infinity(self, monkeypatch, depth):
+        rng = np.random.default_rng(11)
+        family = [GridFunction.on_counting(rng.standard_normal(40)) for _ in range(3)]
+        for psi in (constant_function(1.5),
+                    natural_function(family, np.geomspace(1.0, 40.0, 30))):
+            for n_points in (2, 18, 256):
+                grid = default_grid(psi, n_points=n_points, refinement_depth=depth)
+                assert grid.include_infinity
+                for f in family:
+                    self._compare(monkeypatch, f, psi, grid)
+
+    def test_constant_functions_and_zeros(self, monkeypatch):
+        # a constant on a probability space has every norm equal: under a
+        # constant psi every grid point ties
+        for psi in (constant_function(2.0), make_power(1.0),
+                    make_boundary(3.0, 1.0, 1.0), make_degenerate(3.5)):
+            for n_points in (18, 256):
+                grid = default_grid(psi, n_points=n_points)
+                for size in (1, 7, 2000):
+                    for c in (0.0, 1.0, -3.5):
+                        for space in (MeasureSpace.normalized(size),
+                                      MeasureSpace.counting(size)):
+                            self._compare(monkeypatch, GridFunction.constant(space, c),
+                                          psi, grid)
+
+    def test_subnormal_values_and_tiny_weights(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        for case in range(200):
+            psi = (make_power(1.0), make_power(2.0), make_boundary(3.0, 1.0, 1.0),
+                   make_classical_grand(3.0))[case % 4]
+            grid = default_grid(psi, n_points=int(rng.choice([18, 64, 256])))
+            size = int(rng.integers(1, 60))
+            values = rng.standard_normal(size) * 10.0 ** rng.uniform(-320, -290)
+            weights = _weights(rng, size, case % 3) * 10.0 ** rng.uniform(-320, 0)
+            weights[weights <= 0.0] = 5e-324
+            self._compare(monkeypatch, GridFunction(MeasureSpace(weights), values),
+                          psi, grid)
+        # psi the natural function of f itself: every ratio is 1, so any
+        # rounding of a skipped point above its bound would move a centre
+        for case in range(100):
+            size = int(rng.integers(2, 8))
+            values = rng.random(size) * 10.0 ** rng.uniform(0, 300)
+            weights = np.maximum(rng.random(size) * 10.0 ** rng.uniform(-323.5, -300),
+                                 5e-324)
+            f = GridFunction(MeasureSpace(weights), values)
+            pts = np.geomspace(1.0, 64.0, int(rng.choice([18, 40, 100])))
+            psi = natural_function([f], pts)
+            self._compare(monkeypatch, f, psi, grid_from_points(psi.domain, pts))
+
+    def test_large_functions(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        for size in (1001, 2500, 4000):
+            for psi in (make_power(1.0), make_power(2.0), make_boundary(3.0, 1.0, 1.0)):
+                for kind in range(3):
+                    values = rng.standard_normal(size)
+                    f = GridFunction(MeasureSpace(_weights(rng, size, kind)), values)
+                    self._compare(monkeypatch, f, psi, default_grid(psi))
+
+    def test_skips_most_points(self, monkeypatch):
+        evaluated = []
+
+        def counting(logs, peak, w, ps):
+            evaluated.append(ps.size)
+            return _root_stage(logs, peak, w, ps)
+
+        monkeypatch.setattr(gls, "_root_stage", counting)
+        psi = make_power(2.0)
+        grid = default_grid(psi).with_refinement(0)
+        assert len(grid.points) == 256
+        values = np.random.default_rng(14).standard_normal(2500)
+        gls_norm(GridFunction(MeasureSpace.normalized(2500), values), psi, grid)
+        assert sum(evaluated) <= 64
+
+    def test_guard_evaluates_every_point(self, monkeypatch):
+        # subnormal norms, and weights so small that the kernel's subnormal
+        # terms could outgrow the slack, switch the pruning off
+        evaluated = []
+
+        def counting(logs, peak, w, ps):
+            evaluated.append(ps.size)
+            return _root_stage(logs, peak, w, ps)
+
+        monkeypatch.setattr(gls, "_root_stage", counting)
+        psi = make_power(2.0)
+        grid = default_grid(psi).with_refinement(0)
+        values = np.random.default_rng(15).standard_normal(50)
+        for f in (GridFunction(MeasureSpace.normalized(50), values * 1e-310),
+                  GridFunction(MeasureSpace(np.full(50, 1e-320)), values * 1e300)):
+            evaluated.clear()
+            gls_norm(f, psi, grid)
+            assert evaluated[0] == 17 and sum(evaluated) == 256
+
+    def test_overflow_names_the_exponent(self):
+        f = GridFunction(MeasureSpace(np.array([1e308, 1e308])), np.array([1e308, 1e308]))
+        with pytest.raises(ValueError, match="Lp norm of f is not finite at p = 1.0"):
+            gls_norm(f, make_power(2.0))
