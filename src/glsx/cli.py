@@ -465,6 +465,12 @@ def run(argv=None) -> int:
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except MemoryError:
+        # the input's size asked for it (an oracle grid holds
+        # resolution**(n-1) directions): bad input, not a violation
+        print("error: out of memory; lower --resolution or the input size",
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 def main() -> None:

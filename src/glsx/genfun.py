@@ -17,7 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .measure import INFINITY, GridFunction, as_exponent, is_infinite, lp_norm, lp_norm_table
+from .measure import (INFINITY, GridFunction, _spec_number, as_exponent, is_infinite,
+                      lp_norm, lp_norm_table)
 
 
 @dataclass(frozen=True)
@@ -278,25 +279,33 @@ def restrict(psi: GeneratingFunction, a: float, b: float) -> GeneratingFunction:
     )
 
 
+#: builder and numeric spec fields of each kind a spec may name
 _KIND_BUILDERS = {
-    "power": lambda s: make_power(s["m"]),
-    "boundary": lambda s: make_boundary(s["b"], s["alpha"], s["beta"]),
-    "degenerate": lambda s: make_degenerate(s["r"]),
-    "classical_grand": lambda s: make_classical_grand(s["q"]),
+    "power": (make_power, ("m",)),
+    "boundary": (make_boundary, ("b", "alpha", "beta")),
+    "degenerate": (make_degenerate, ("r",)),
+    "classical_grand": (make_classical_grand, ("q",)),
 }
 
 
 def generating_function_from_spec(spec: dict) -> GeneratingFunction:
     """Parse specs like {"kind": "power", "m": 2}; an optional "domain":
-    [a, b] entry (b may be "inf" or null) restricts the result."""
+    [a, b] entry (b may be "inf" or null) restricts the result.  Numeric
+    fields must be JSON numbers: booleans and strings are rejected."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError('generating function spec needs a "kind"')
     kind = spec["kind"]
-    if kind not in _KIND_BUILDERS:
+    if not isinstance(kind, str) or kind not in _KIND_BUILDERS:
         raise ValueError(f"unknown generating function kind {kind!r}")
-    psi = _KIND_BUILDERS[kind](spec)
-    if "domain" in spec and spec["domain"] is not None:
-        a, b = spec["domain"]
-        b = INFINITY if (b is None or b == "inf") else float(b)
-        psi = restrict(psi, float(a), b)
+    builder, fields = _KIND_BUILDERS[kind]
+    psi = builder(*(_spec_number(spec.get(name), f'generating function spec "{name}"')
+                    for name in fields))
+    domain = spec.get("domain")
+    if domain is not None:
+        label = 'generating function spec "domain"'
+        if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
+            raise ValueError(f'{label} must be [a, b] (b may be "inf" or null)')
+        a, b = domain
+        psi = restrict(psi, _spec_number(a, f"{label} a"),
+                       INFINITY if b in (None, "inf") else _spec_number(b, f"{label} b"))
     return psi

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measure import MeasureSpace, as_exponent
+from .measure import MeasureSpace, _spec_matrix, as_exponent
 from .opnorm import MatrixOperator, inv_exponent, op_norm_oracle_table
 
 
@@ -120,10 +120,11 @@ def make_doubly_even(n: int) -> MagicSquare:
 def square_from_spec(spec: dict) -> MagicSquare:
     if not isinstance(spec, dict) or "entries" not in spec:
         raise ValueError('magic square spec needs an "entries" list of rows')
-    report = validate_magic(spec["entries"])
+    entries = _spec_matrix(spec["entries"], 'magic square spec "entries"')
+    report = validate_magic(entries)
     if not report.ok:
         raise ValueError("entries do not form a nonnegative magic square")
-    return MagicSquare(np.asarray(spec["entries"], dtype=float), report.alpha)
+    return MagicSquare(entries, report.alpha)
 
 
 def square_to_spec(square: MagicSquare) -> dict:

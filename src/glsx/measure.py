@@ -216,25 +216,50 @@ def grid_function_from_spec(spec: dict) -> GridFunction:
     """
     if not isinstance(spec, dict) or "values" not in spec:
         raise ValueError('grid function spec needs a "values" list')
-    values = _spec_numbers(spec, "values")
+    values = _spec_numbers(spec["values"], 'grid function spec "values"')
     if "weights" in spec and spec["weights"] is not None:
-        space = MeasureSpace(_spec_numbers(spec, "weights"))
+        space = MeasureSpace(_spec_numbers(spec["weights"], 'grid function spec "weights"'))
     else:
         space = MeasureSpace.counting(values.size)
     return GridFunction(space, values)
 
 
-def _spec_numbers(spec: dict, name: str) -> np.ndarray:
-    """The list ``spec[name]`` as floats; booleans, strings and other
-    non-numbers are rejected rather than coerced."""
-    raw = spec[name]
-    if not isinstance(raw, (list, tuple)) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw):
-        raise ValueError(f'grid function spec "{name}" must be a list of numbers')
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _spec_numbers(raw, label: str) -> np.ndarray:
+    """The list ``raw`` as floats; booleans, strings and other non-numbers
+    are rejected rather than coerced.  ``label`` names the field."""
+    if not isinstance(raw, (list, tuple)) or not all(_is_number(x) for x in raw):
+        raise ValueError(f"{label} must be a list of numbers")
+    return _spec_array(raw, label)
+
+
+def _spec_matrix(raw, label: str) -> np.ndarray:
+    """The list of rows ``raw`` as a 2-d float array, by the rule of
+    ``_spec_numbers``; no rows, or rows of different lengths, are rejected."""
+    if not (isinstance(raw, (list, tuple)) and raw
+            and all(isinstance(r, (list, tuple)) and all(_is_number(x) for x in r)
+                    for r in raw)
+            and len({len(r) for r in raw}) == 1):
+        raise ValueError(f"{label} must be a non-empty list of equal-length "
+                         "rows of numbers")
+    return _spec_array(raw, label)
+
+
+def _spec_number(raw, label: str) -> float:
+    """The number ``raw`` as a float, by the rule of ``_spec_numbers``."""
+    if not _is_number(raw):
+        raise ValueError(f"{label} must be a number")
+    return float(_spec_array(raw, label))
+
+
+def _spec_array(raw, label: str) -> np.ndarray:
     try:
         return np.array(raw, dtype=float)
     except OverflowError:  # an integer beyond the float range
-        raise ValueError(f'grid function spec "{name}" must be finite') from None
+        raise ValueError(f"{label} must be finite") from None
 
 
 def grid_function_to_spec(f: GridFunction) -> dict:

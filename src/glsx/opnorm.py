@@ -21,6 +21,7 @@ exponent grids and runs the engine ``glsx.mri.verify_theorem2``.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,9 +30,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .genfun import ExponentInterval, GeneratingFunction
-from .gls import _INVPHI, _INVPHI2, PGrid, exponent_grid, grid_from_points
+from .gls import (_INVPHI, _INVPHI2, _TINY, PGrid, exponent_grid,
+                  grid_from_points)
 from .measure import (INFINITY, GridFunction, MeasureSpace, _row_norms,
-                      as_exponent, is_infinite)
+                      _spec_matrix, _spec_numbers, as_exponent, is_infinite)
 
 
 def inv_exponent(p: float) -> float:
@@ -87,14 +89,14 @@ def operator_from_spec(spec: dict) -> MatrixOperator:
     """
     if not isinstance(spec, dict) or "entries" not in spec:
         raise ValueError('matrix spec needs an "entries" list of rows')
-    e = np.asarray(spec["entries"], dtype=float)
-    if e.ndim != 2:
-        raise ValueError("entries must be a matrix")
-    mu = spec.get("mu")
-    nu = spec.get("nu")
-    target = MeasureSpace(np.asarray(mu, float)) if mu is not None else MeasureSpace.counting(e.shape[0])
-    source = MeasureSpace(np.asarray(nu, float)) if nu is not None else MeasureSpace.counting(e.shape[1])
-    return MatrixOperator(e, source, target)
+    e = _spec_matrix(spec["entries"], 'matrix spec "entries"')
+
+    def space(name: str, size: int) -> MeasureSpace:
+        if spec.get(name) is None:
+            return MeasureSpace.counting(size)
+        return MeasureSpace(_spec_numbers(spec[name], f'matrix spec "{name}"'))
+
+    return MatrixOperator(e, space("nu", e.shape[1]), space("mu", e.shape[0]))
 
 
 def operator_to_spec(A: MatrixOperator) -> dict:
@@ -345,21 +347,106 @@ def _oracle_directions(n: int, resolution: int) -> np.ndarray:
 
 
 def _oracle_qnorms(base: np.ndarray, nu: np.ndarray, q: float,
-                   resolution: int) -> np.ndarray:
+                   resolution: int) -> tuple:
+    """Cached q-norms of the direction grid and their minimum per grid block
+    (see ``_oracle_blocks``)."""
     key = (base.shape[0], resolution, nu.tobytes(), q)
-    qn = _QNORM_CACHE.get(key)
-    if qn is None:
+    cached = _QNORM_CACHE.get(key)
+    if cached is None:
         qn = _row_norms(base.T, nu, np.array([q]))[:, 0]
+        qmin = qn.reshape((resolution,) * (base.shape[0] - 1))
+        starts = np.arange(0, resolution, _BLOCK)
+        for axis in range(qmin.ndim):
+            qmin = np.minimum.reduceat(qmin, starts, axis=axis)
+        cached = (qn, qmin.ravel())
         if len(_QNORM_CACHE) >= 32:
             _QNORM_CACHE.clear()
-        _QNORM_CACHE[key] = qn
-    return qn
+        _QNORM_CACHE[key] = cached
+    return cached
 
 
 #: elements of the kernel's (columns, exponents, target) temporary per chunk
 #: of the oracle grid pass: 1 MB, which ran faster than smaller or larger
 #: chunks and keeps the pass far below the memory of one unchunked call
 _GRID_CHUNK = 1 << 17
+#: grid indices per axis of one block of the pruned grid pass (8,100 blocks
+#: at n = 3, resolution 720).  Smaller blocks have tighter bounds but more
+#: per-block work; 6 to 12 ran about equally fast on random 3x3 tables at
+#: resolution 720, and 4 or 16 slower
+_BLOCK = 8
+#: relative widening of the block bound.  The kernel keeps a norm within
+#: about 1e-13 of its exact value on normal floats (see ``gls._CHORD_SLACK``),
+#: and the bound adds a few roundings more; 1e-9 leaves four orders of margin
+_BLOCK_SLACK = 1e-9
+#: absolute widening (radians) of the block radius: the products ``Es @ g``
+#: and the grid directions round by about ``n * eps * L_p`` in absolute
+#: terms, which the relative slack alone covers only for radii above 1e-6
+_RADIUS_PAD = 1e-12
+_HUGE = float(np.finfo(float).max)
+
+
+@functools.lru_cache(maxsize=8)
+def _oracle_blocks(n: int, resolution: int) -> tuple:
+    """Blocks of ``_BLOCK`` indices per axis of the ``(resolution,) * (n-1)``
+    direction grid, in C order (the last block of an axis may be shorter).
+
+    Returns, per block, the flat grid index of its representative (its
+    middle index) and its radius ``sqrt(sum_i off_i**2)`` in index units,
+    where ``off_i`` is the largest index offset from the representative
+    along axis ``i``, and the block lengths along one axis.
+    """
+    starts = np.arange(0, resolution, _BLOCK)
+    lengths = np.minimum(_BLOCK, resolution - starts)
+    reps = np.zeros((), dtype=np.intp)
+    radius2 = np.zeros(())
+    for _ in range(n - 1):
+        reps = reps[..., None] * resolution + starts + lengths // 2
+        radius2 = radius2[..., None] + (lengths // 2) ** 2
+    return reps.ravel(), np.sqrt(radius2.ravel()), lengths
+
+
+def _grid_survivors(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
+                    H: np.ndarray, p_vals: np.ndarray, qn: list,
+                    best: np.ndarray, resolution: int,
+                    step: float) -> Optional[np.ndarray]:
+    """Ascending grid indices of the blocks that could hold the grid argmax
+    of some (q, p) pair for the sign pattern with products ``H = Es @ base``;
+    ``None`` when every block could.
+
+    Per block b with representative direction ``g_b`` and radius ``r_b``,
+    Minkowski and Cauchy-Schwarz bound every point k of the block by
+    ``|Es g_k|_p <= |Es g_b|_p + r_b * L_p`` with
+    ``L_p = sqrt(sum_j |E e_j|_p**2)``: the spherical map is 1-Lipschitz
+    from angles to R^n, so ``|g_k - g_b|_2 <= r_b``.  With ``r_b`` widened
+    by ``_RADIUS_PAD``, divided by the block's smallest q-norm and widened
+    by ``_BLOCK_SLACK``, this bounds the computed ratio.
+    A block is skipped when its bound lies strictly below
+    ``T = max(best, best representative ratio)`` for every pair: its points
+    then neither beat nor tie the grid argmax of this pattern, nor ``best``.
+    The slack is relative, so every block survives (``T = -inf``) unless
+    every weight is at least ``tiny * (mass + size)`` and every
+    representative norm and ``L_p`` is a finite normal float.
+    """
+    reps, radius, lengths = _oracle_blocks(E.shape[1], resolution)
+    rep_pn = _row_norms(np.take(H, reps, axis=1).T, mu, p_vals)  # (blocks, P)
+    lip = np.sqrt((_row_norms(E.T, mu, p_vals) ** 2).sum(axis=0))
+    if not (all(w.min() >= (w.sum() + w.size) * _TINY for w in (mu, nu))
+            and all(np.all((x >= _TINY) & (x <= _HUGE)) for x in (rep_pn, lip))):
+        return None  # NaN fails both comparisons
+    # (exponents, blocks): short-axis reductions run slowly on the tall
+    # layout (see ``measure._row_norms``)
+    rep_pn = np.ascontiguousarray(rep_pn.T)
+    top = (rep_pn + lip[:, None] * (radius * step + _RADIUS_PAD)) * (1.0 + _BLOCK_SLACK)
+    keep = np.zeros(reps.size, dtype=bool)
+    for i, (qn_i, qmin_i) in enumerate(qn):
+        T = np.maximum(best[i], (rep_pn / qn_i[reps]).max(axis=1))
+        keep |= ~(top / qmin_i < T[:, None]).all(axis=0)  # NaN never skips
+    if keep.all():
+        return None
+    mask = keep.reshape((lengths.size,) * (E.shape[1] - 1))
+    for axis in range(mask.ndim):
+        mask = np.repeat(mask, lengths, axis=axis)
+    return np.flatnonzero(mask)
 
 
 def _oracle_polish(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
@@ -440,13 +527,20 @@ def op_norm_oracle_table(A: MatrixOperator, qs: Sequence[float],
     """Brute-force q->p operator norms for every (q, p) pair at once.
 
     All pairs share the direction grid, its cached q-norms and the matrix
-    products.  Per sign pattern, one kernel call per chunk of grid columns
-    evaluates every distinct p, so ``log|Ag|`` is taken once and only
-    ``exp`` repeats per exponent.  The best grid or classical candidate
-    direction of each pair is then refined by one golden-section polish
-    that runs every pair in lockstep as array operations (see
-    ``_oracle_polish``); a pair's value does not depend on which other
-    pairs share the call.  Returns a dict keyed by (q, p).
+    products.  Per sign pattern, the grid columns go through the kernel
+    only in the blocks of the grid that a Lipschitz bound cannot rule out
+    as holding some pair's grid argmax (see ``_grid_survivors``); the
+    values are those of the full pass, bit for bit.  One kernel call per
+    chunk of those columns evaluates every distinct p, so ``log|Ag|`` is
+    taken once and only ``exp`` repeats per exponent.  The best grid or
+    classical candidate direction of each pair is then refined by one
+    golden-section polish that runs every pair in lockstep as array
+    operations (see ``_oracle_polish``); a pair's value does not depend on
+    which other pairs share the call.  The grid pass costs in proportion to
+    the evaluated share of the ``resolution**(n-1)`` columns: about a tenth
+    to a fifth on random 3x3 operators, all of them when a pair's ratio is
+    flat (Lo Shu's 1 -> 1 norm).  The directions and products still span
+    the whole grid.  Returns a dict keyed by (q, p).
     """
     qs = [as_exponent(qv) for qv in qs]
     ps = [as_exponent(p) for p in ps]
@@ -493,16 +587,24 @@ def op_norm_oracle_table(A: MatrixOperator, qs: Sequence[float],
         H = Es @ base
         grid_best = np.full(shape, -1.0)
         grid_arg = np.zeros(shape, dtype=int)
-        for lo in range(0, H.shape[1], chunk):
-            pn = _row_norms(H[:, lo:lo + chunk].T, mu, p_vals).T
+        sel = _grid_survivors(E, mu, nu, H, p_vals, qn, best, res, step)
+        # survivors run in ascending grid index, so first-index ties hold;
+        # np.take keeps the column layout (and the kernel's bits) of a slice
+        for lo in range(0, H.shape[1] if sel is None else sel.size, chunk):
+            if sel is None:
+                at = slice(lo, lo + chunk)
+                pn = _row_norms(H[:, at].T, mu, p_vals).T
+            else:
+                at = sel[lo:lo + chunk]
+                pn = _row_norms(np.take(H, at, axis=1).T, mu, p_vals).T
             vals = np.empty(pn.shape)  # row-major, so argmax runs along rows
-            for i, qn_i in enumerate(qn):
-                np.divide(pn, qn_i[lo:lo + chunk], out=vals)
+            for i, (qn_i, _) in enumerate(qn):
+                np.divide(pn, qn_i[at], out=vals)
                 k = vals.argmax(axis=1)
                 v = vals[cols, k]
                 up = v > grid_best[i]
                 grid_best[i, up] = v[up]
-                grid_arg[i, up] = lo + k[up]
+                grid_arg[i, up] = lo + k[up] if sel is None else at[k[up]]
         up = grid_best > best
         best[up] = grid_best[up]
         sign_of[up] = s
@@ -539,8 +641,10 @@ def op_norm_oracle(A: MatrixOperator, q: float, p: float, resolution: int = 720,
     direction.  This is the one-pair case of ``op_norm_oracle_table``, whose
     shared-log grid pass and lockstep polish give the same value for a pair
     whichever pairs share the call, so several pairs of one operator are
-    cheaper as one table.  Cost grows as ``resolution**(n-1)``; sources
-    larger than 4 are rejected unless ``allow_large`` is set.
+    cheaper as one table.  The grid holds ``resolution**(n-1)`` directions;
+    the time of its pass follows the share of them that the table's block
+    bound cannot skip (see ``op_norm_oracle_table``).  Sources larger than
+    4 are rejected unless ``allow_large`` is set.
     """
     table = op_norm_oracle_table(A, [q], [p], resolution=resolution,
                                  allow_large=allow_large, polish=polish)

@@ -75,6 +75,60 @@ def malformed_function_specs(draw):
     return spec
 
 
+@st.composite
+def malformed_matrix_specs(draw, weights=True):
+    """Matrix specs whose entries (or, with ``weights``, whose ``mu`` or
+    ``nu``) are wrong in one way."""
+    entries = [[1.0, 2.0], [3.0, 4.0]]
+    spec = {"entries": entries, "mu": [1.0, 1.0], "nu": [1.0, 1.0]}
+    flaws = ["entry", "row", "field", "shape"] + (["weight"] if weights else [])
+    flaw = draw(st.sampled_from(flaws))
+    i, j = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    if flaw == "entry":
+        entries[i][j] = draw(_not_a_number)
+    elif flaw == "row":
+        entries[i] = draw(st.one_of(_not_a_list, st.just([1.0]), st.just([1.0, 2.0, 3.0])))
+    elif flaw == "field":
+        spec["entries"] = draw(st.one_of(_not_a_list, st.just([]), st.just([1.0, 2.0])))
+    elif flaw == "weight":
+        name = draw(st.sampled_from(["mu", "nu"]))
+        if draw(st.booleans()):
+            spec[name][j] = draw(_not_a_number)
+        else:
+            spec[name] = draw(_not_a_list)
+    else:
+        spec = draw(st.one_of(st.just({"mu": [1.0, 1.0]}), st.lists(st.floats(), max_size=2),
+                              st.text(max_size=4), st.integers()))
+    return spec
+
+
+@st.composite
+def malformed_psi_specs(draw):
+    """Generating-function specs that are wrong in one way."""
+    spec = draw(st.sampled_from([{"kind": "power", "m": 2},
+                                 {"kind": "boundary", "b": 8, "alpha": 0.5, "beta": 0.5,
+                                  "domain": [4, 8]}]))
+    flaw = draw(st.sampled_from(["field", "missing", "kind", "domain", "shape"]))
+    fields = [k for k in spec if k not in ("kind", "domain")]
+    if flaw == "field":
+        spec[draw(st.sampled_from(fields))] = draw(_not_a_number)
+    elif flaw == "missing":
+        del spec[draw(st.sampled_from(fields))]
+    elif flaw == "kind":
+        spec["kind"] = draw(st.one_of(_not_a_number, st.just("mystery")))
+    elif flaw == "domain":
+        # b may be "inf" or null, a may not
+        spec["domain"] = draw(st.one_of(
+            _not_a_list, st.just([4]), st.just([4, 8, 9]),
+            st.tuples(_not_a_number, st.just(8)).map(list),
+            st.tuples(st.just(4), _not_a_number.filter(lambda x: x not in (None, "inf")))
+            .map(list)))
+    else:
+        spec = draw(st.one_of(st.just({"m": 2}), st.lists(st.floats(), max_size=2),
+                              st.text(max_size=4), st.integers()))
+    return spec
+
+
 class TestBasicCommands:
     def test_gls_norm(self, inputs, capsys):
         out = out_path(inputs, "r.json")
@@ -311,24 +365,76 @@ class TestErrorHandling:
                             *extra, "--output", out_path(inputs, "x.json")]) == 2
                 assert f'"{field}" must be a list of numbers' in capsys.readouterr().err
 
-    @given(spec=malformed_function_specs())
-    def test_malformed_function_specs(self, spec):
+    @given(spec=malformed_function_specs(), matrix=malformed_matrix_specs(),
+           square=malformed_matrix_specs(weights=False), psi_spec=malformed_psi_specs())
+    def test_malformed_function_specs(self, spec, matrix, square, psi_spec):
         # every malformed spec is bad input: exit 2 and a one-line message
         with tempfile.TemporaryDirectory() as tmp:
-            f = Path(tmp) / "f.json"
-            f.write_text(json.dumps(spec))
-            psi = Path(tmp) / "psi.json"
-            psi.write_text(json.dumps({"kind": "power", "m": 2}))
-            for command, extra in (("gls-norm", []),
-                                   ("fenchel-tail", ["--t", "e", "--normalize"])):
+            def write(name, payload):
+                path = Path(tmp) / name
+                path.write_text(json.dumps(payload))
+                return str(path)
+
+            f = write("f.json", spec)
+            psi = write("psi.json", {"kind": "power", "m": 2})
+            out = str(Path(tmp) / "out.json")
+            runs = [["gls-norm", "--function", f, "--psi", psi],
+                    ["fenchel-tail", "--function", f, "--psi", psi, "--t", "e",
+                     "--normalize"],
+                    ["opnorm", "--matrix", write("A.json", matrix), "--q", "2", "--p", "2"],
+                    ["gls-norm", "--function", write("g.json", {"values": [1.0, -2.0]}),
+                     "--psi", write("bad_psi.json", psi_spec)],
+                    ["check-super-exact", "--matrix", write("M.json", square),
+                     "--pairs", "1:2"]]
+            for argv in runs:
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err), \
                         contextlib.redirect_stdout(io.StringIO()):
-                    code = run([command, "--function", str(f), "--psi", str(psi),
-                                *extra, "--output", str(Path(tmp) / "out.json")])
-                assert code == 2
+                    code = run([*argv, "--output", out])
+                assert code == 2, argv
                 assert err.getvalue().startswith("error: ")
                 assert "Traceback" not in err.getvalue()
+
+    def test_non_number_specs_name_their_field(self, inputs, capsys):
+        # JSON booleans and strings are not numbers, though float() takes them
+        cases = [("opnorm", "--matrix", {"entries": [[True, False], [False, True]]},
+                  'matrix spec "entries"'),
+                 ("opnorm", "--matrix", {"entries": [["1", "0"], ["0", "1"]]},
+                  'matrix spec "entries"'),
+                 ("opnorm", "--matrix", {"entries": [[1, 0], [0, 1]], "nu": [True, True]},
+                  'matrix spec "nu"'),
+                 ("gls-norm", "--psi", {"kind": "power", "m": True},
+                  'generating function spec "m"'),
+                 ("gls-norm", "--psi", {"kind": "power", "m": "2"},
+                  'generating function spec "m"'),
+                 ("gls-norm", "--psi", {"kind": "power", "m": 2, "domain": ["4", 8]},
+                  'generating function spec "domain"'),
+                 ("check-super-exact", "--matrix",
+                  {"entries": [[8, 1, 6], [3, 5, 7], [4, 9, "2"]]},
+                  'magic square spec "entries"')]
+        args = {"opnorm": ["--q", "2", "--p", "2"],
+                "gls-norm": ["--function", inputs["f"]],
+                "check-super-exact": ["--pairs", "1:2"]}
+        for command, option, spec, field in cases:
+            path = inputs["dir"] / "spec.json"
+            path.write_text(json.dumps(spec))
+            assert run([command, option, str(path), *args[command],
+                        "--output", out_path(inputs, "x.json")]) == 2
+            assert field in capsys.readouterr().err
+
+    def test_oversized_oracle_grid_is_bad_input(self, inputs, capsys, monkeypatch):
+        # a real allocation of that size is not made: the grid builder raises
+        from glsx import opnorm
+
+        def too_large(n, resolution):
+            raise MemoryError(f"Unable to allocate a ({n}, {resolution}) grid")
+
+        monkeypatch.setattr(opnorm, "_oracle_directions", too_large)
+        assert run(["opnorm", "--matrix", inputs["A"], "--q", "2", "--p", "2",
+                    "--oracle", "--resolution", "100000",
+                    "--output", out_path(inputs, "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
 
     def test_non_finite_threshold(self, inputs, capsys):
         for ts, bad in (("nan", "nan"), ("3,inf", "inf")):

@@ -162,6 +162,26 @@ class TestLpNormTable:
         assert np.array_equal(rows[:, 0], table[np.arange(V.shape[0]),
                                                np.arange(V.shape[0]) % ps.size])
 
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_layout_does_not_change_bits_below_width_8(self, width):
+        """C- and Fortran-ordered input give the same bits at widths 1-7, in
+        table and per-row mode; the oracle's grid pass gathers its columns
+        in either layout.  From width 8 the two layouts may sum in different
+        orders (numpy's pairwise sum unrolls by 8 on a contiguous axis).  The
+        kernel's short-axis reductions also run slower on C-ordered tall
+        input: an 8,738 x 3 call with four exponents takes about 3-5x as
+        long as on Fortran-ordered input."""
+        rng = np.random.default_rng(width)
+        V = rng.standard_normal((500, width)) * np.exp(rng.uniform(-30.0, 30.0, (500, 1)))
+        V[7] = 0.0
+        w = rng.uniform(0.1, 2.0, width)
+        F = np.asfortranarray(V)
+        assert V.flags.c_contiguous and F.flags.f_contiguous
+        ps = np.array([1.0, 1.5, 2.0, 3.7, 60.0, INFINITY])
+        assert _row_norms(V, w, ps).tobytes() == _row_norms(F, w, ps).tobytes()
+        per_row = np.resize(ps, V.shape[0])[:, None]
+        assert _row_norms(V, w, per_row).tobytes() == _row_norms(F, w, per_row).tobytes()
+
     def test_zero_rows_and_empty_exponents(self):
         got = lp_norm_table([[0.0, 0.0], [3.0, -4.0]], [1.0, 1.0], [2.0, INFINITY])
         assert np.array_equal(got, [[0.0, 0.0], [5.0, 4.0]])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -295,6 +296,150 @@ class TestOracle:
             for p in (2.0, 4.0, INFINITY):
                 if p >= q:
                     assert op_norm_oracle(A, q, p, resolution=360) <= base * (1 + 1e-9)
+
+
+def _full_grid_table(A, qs, ps, resolution, polish):
+    """``op_norm_oracle_table`` with the full grid pass, kept as the
+    reference of the pruned one: every grid column goes through the kernel."""
+    qs = [opnorm.as_exponent(qv) for qv in qs]
+    ps = [opnorm.as_exponent(p) for p in ps]
+    n_y = A.source.size
+    E = A.entries
+    mu = A.target.weights
+    nu = A.source.weights
+    res = int(resolution)
+    base = opnorm._oracle_directions(n_y, res)
+    q_vals = sorted(set(qs))
+    p_vals = np.array(sorted(set(ps)))
+    qn = [opnorm._row_norms(base.T, nu, np.array([qv]))[:, 0] for qv in q_vals]
+
+    if A.is_nonnegative():
+        patterns = np.ones((1, n_y))
+    else:
+        patterns = np.array([s for s in itertools.product((1.0, -1.0), repeat=n_y)
+                             if s[0] == 1.0])
+
+    extra = np.hstack([np.ones((n_y, 1)) / math.sqrt(n_y), np.eye(n_y)])
+    extra_qn = opnorm._row_norms(extra.T, nu, np.array(q_vals))
+    extra_theta = np.array([opnorm._angles_from_direction(g) for g in extra.T])
+
+    shape = (len(q_vals), p_vals.size)
+    cols = np.arange(p_vals.size)
+    best = np.full(shape, -1.0)
+    theta = np.zeros(shape + (n_y - 1,))
+    sign_of = np.zeros(shape, dtype=int)
+    step = math.pi / 2.0 / (res - 1) if n_y > 1 else 0.0
+    chunk = max(1, opnorm._GRID_CHUNK // (p_vals.size * E.shape[0]))
+    for s, sign in enumerate(patterns):
+        Es = E * sign[None, :]
+        H = Es @ base
+        grid_best = np.full(shape, -1.0)
+        grid_arg = np.zeros(shape, dtype=int)
+        for lo in range(0, H.shape[1], chunk):
+            pn = opnorm._row_norms(H[:, lo:lo + chunk].T, mu, p_vals).T
+            vals = np.empty(pn.shape)
+            for i, qn_i in enumerate(qn):
+                np.divide(pn, qn_i[lo:lo + chunk], out=vals)
+                k = vals.argmax(axis=1)
+                v = vals[cols, k]
+                up = v > grid_best[i]
+                grid_best[i, up] = v[up]
+                grid_arg[i, up] = lo + k[up]
+        up = grid_best > best
+        best[up] = grid_best[up]
+        sign_of[up] = s
+        if n_y > 1:
+            idx = np.unravel_index(grid_arg[up], (res,) * (n_y - 1))
+            theta[up] = np.stack(idx, axis=-1) * step
+        evals = (opnorm._row_norms((Es @ extra).T, mu, p_vals)[:, None, :]
+                 / extra_qn[:, :, None])
+        k = evals.argmax(axis=0)
+        v = np.take_along_axis(evals, k[None], axis=0)[0]
+        up = v > best
+        best[up] = v[up]
+        theta[up] = extra_theta[k[up]]
+        sign_of[up] = s
+
+    values = best.ravel()
+    if polish and n_y > 1:
+        values = opnorm._oracle_polish(E, mu, nu, patterns[sign_of.ravel()],
+                                       theta.reshape(-1, n_y - 1),
+                                       np.repeat(q_vals, p_vals.size),
+                                       np.tile(p_vals, len(q_vals)), values, step)
+    table = dict(zip(itertools.product(q_vals, p_vals.tolist()), values.tolist()))
+    return {(qv, p): table[(qv, p)] for qv in qs for p in ps}
+
+
+def _pruning_cases():
+    """(operator, resolution, qs, ps); resolutions are not multiples of 8."""
+    rng = np.random.default_rng(23)
+    full = (EXPONENTS, EXPONENTS)
+    corners = ((1.0,), (INFINITY,))
+    mixed = ((INFINITY, 2.0), (1.0, 3.0))
+    inner = ((1.5,), (2.0, 4.0))
+    lo_shu = [[8.0, 1.0, 6.0], [3.0, 5.0, 7.0], [4.0, 9.0, 2.0]]
+    order4 = [[16.0, 2.0, 3.0, 13.0], [5.0, 11.0, 10.0, 8.0],
+              [9.0, 7.0, 6.0, 12.0], [4.0, 14.0, 15.0, 1.0]]
+    counting = MatrixOperator.on_counting
+    return [
+        # one, three and nine target points; n = 2, 3 and 4
+        (counting(rng.uniform(0.0, 1.0, (1, 3))), 121, *full),
+        (counting(rng.uniform(-1.0, 1.0, (3, 3))), 121, *corners),
+        (counting(rng.uniform(-1.0, 1.0, (9, 3))), 97, *mixed),
+        (counting(rng.uniform(-1.0, 1.0, (3, 2))), 301, *inner),
+        (counting(rng.uniform(0.0, 1.0, (9, 2))), 1001, *full),
+        (counting(rng.uniform(-1.0, 1.0, (3, 4))), 19, *corners),
+        # weighted measures
+        (MatrixOperator(rng.uniform(-1.0, 1.0, (3, 3)), MeasureSpace([0.2, 3.0, 1.1]),
+                        MeasureSpace([2.5, 0.4, 1.0])), 90, *mixed),
+        (MatrixOperator(rng.uniform(0.0, 1.0, (9, 2)), MeasureSpace([0.3, 1.7]),
+                        MeasureSpace(rng.uniform(0.1, 2.0, 9))), 250, *full),
+        # magic squares (flat pairs) and integer entries (tied grid maxima)
+        (counting(lo_shu), 121, *full),
+        (counting(order4), 17, *mixed),
+        (counting(rng.integers(-2, 3, (3, 3))), 121, *full),
+        (counting(rng.integers(0, 3, (9, 3))), 61, *inner),
+        # subnormal products and norms, overflow, tiny weights
+        (counting(rng.uniform(-1.0, 1.0, (3, 3)) * 1e-310), 61, *full),
+        (counting(np.array([[-0.08, 0.87], [0.89, -0.81]]) * 1e-305), 301, *full),
+        (counting(rng.uniform(0.0, 1.0, (3, 3)) * 1e308), 61, *full),
+        (MatrixOperator(rng.uniform(-1.0, 1.0, (3, 3)), MeasureSpace([1.0, 1.0, 1.0]),
+                        MeasureSpace([1e-310, 1.0, 2.0])), 61, *full),
+        (MatrixOperator(rng.uniform(0.0, 1.0, (3, 3)), MeasureSpace([1e-300, 1.0, 1.0]),
+                        MeasureSpace([1.0, 1e-305, 1.0])), 61, *corners),
+    ]
+
+
+class TestGridPruning:
+    """The grid pass skips blocks that a Lipschitz bound rules out; tables
+    stay bit-identical to the full grid pass."""
+
+    @pytest.mark.parametrize("case", range(len(_pruning_cases())))
+    def test_matches_full_grid_pass(self, case):
+        A, res, qs, ps = _pruning_cases()[case]
+        with np.errstate(all="ignore"):
+            for polish in (False, True):
+                want = _full_grid_table(A, qs, ps, res, polish)
+                got = op_norm_oracle_table(A, qs, ps, resolution=res, polish=polish)
+                assert list(got) == list(want)
+                assert [float(v).hex() for v in got.values()] == \
+                    [float(v).hex() for v in want.values()]
+
+    def test_evaluates_at_most_half_of_the_grid(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        A = MatrixOperator.on_counting(rng.uniform(-1.0, 1.0, (3, 3)))
+        monkeypatch.setattr(opnorm, "_QNORM_CACHE", {})  # room for every q-norm
+        op_norm_oracle_table(A, EXPONENTS, EXPONENTS, polish=False)  # fills it
+        rows = []
+        kernel = opnorm._row_norms
+
+        def counting(V, w, ps):
+            rows.append(V.shape[0])
+            return kernel(V, w, ps)
+
+        monkeypatch.setattr(opnorm, "_row_norms", counting)
+        op_norm_oracle_table(A, EXPONENTS, EXPONENTS, polish=False)
+        assert sum(rows) <= 0.5 * 4 * 720 ** 2  # 4 sign patterns
 
 
 class TestSigmaCondition:
