@@ -22,7 +22,7 @@ import numpy as np
 from .genfun import ExponentInterval, GeneratingFunction
 from .gls import (P_MAX, PGrid, SupResult, default_grid, exponent_grid,
                   fundamental_function, gls_norm, grid_from_points)
-from .measure import GridFunction, _row_norms, lp_norm_table
+from .measure import GridFunction, _row_norms, _spec_number, lp_norm_table
 from .opnorm import (ExtrapolationReport, MatrixOperator, OperatorBoundCertificate,
                      _candidate_functions, minimal_constant)
 
@@ -251,8 +251,13 @@ def mri_norm_from_spec(spec: dict, grid_points: int = 129) -> MRINorm:
         weight = spec.get("weight", "const")
         if weight not in (None, "const"):
             raise ValueError('only the "const" weight is supported in specs')
-        a, b = spec["interval"]
-        b = math.inf if (b is None or b == "inf") else float(b)
-        return integral_mri_norm(ExponentInterval(float(a), b),
-                                 s=float(spec.get("s", 1.0)), n_points=grid_points)
+        label = 'moment norm spec "interval"'
+        interval = spec.get("interval")
+        if not (isinstance(interval, (list, tuple)) and len(interval) == 2):
+            raise ValueError(f'{label} must be [a, b] (b may be "inf" or null)')
+        a, b = interval
+        b = math.inf if b in (None, "inf") else _spec_number(b, f"{label} b")
+        return integral_mri_norm(ExponentInterval(_spec_number(a, f"{label} a"), b),
+                                 s=_spec_number(spec.get("s", 1.0), 'moment norm spec "s"'),
+                                 n_points=grid_points)
     raise ValueError(f"unknown moment norm kind {spec['kind']!r}")

@@ -6,9 +6,9 @@ Norm estimation comes in two independent flavors:
   power iteration) from many starts.  Every iterate is a feasible ratio, so
   the best ratio seen is a certified LOWER bound of the true operator norm.
 * ``op_norm_oracle`` brute-forces the unit sphere of the source space with
-  a dense angular grid plus a coordinate-wise golden-section polish.  It is
-  restricted to small sources and is the reference the ascent is checked
-  against.
+  a dense angular grid plus a coordinate-wise golden-section polish that
+  stops at brackets of sqrt(eps) radians.  It is restricted to small
+  sources and is the reference the ascent is checked against.
 
 ``minimal_constant`` runs the same ascent over a grid of exponent pairs; it
 is the constant of the extrapolation inequality.  Where the nesting of Lp
@@ -32,8 +32,9 @@ import numpy as np
 from .genfun import ExponentInterval, GeneratingFunction
 from .gls import (_INVPHI, _INVPHI2, _TINY, PGrid, exponent_grid,
                   grid_from_points)
-from .measure import (INFINITY, GridFunction, MeasureSpace, _row_norms,
-                      _spec_matrix, _spec_numbers, as_exponent, is_infinite)
+from .measure import (INFINITY, GridFunction, MeasureSpace, _finite_norms,
+                      _row_norms, _spec_matrix, _spec_numbers, as_exponent,
+                      is_infinite)
 
 
 def inv_exponent(p: float) -> float:
@@ -425,7 +426,11 @@ def _grid_survivors(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     then neither beat nor tie the grid argmax of this pattern, nor ``best``.
     The slack is relative, so every block survives (``T = -inf``) unless
     every weight is at least ``tiny * (mass + size)`` and every
-    representative norm and ``L_p`` is a finite normal float.
+    representative norm and ``L_p`` is a finite normal float.  The pruned
+    pass therefore gives the values of the full grid pass, bit for bit,
+    while it evaluates about a tenth to a fifth of the columns on random
+    3x3 operators, and all of them when a pair's ratio is flat (Lo Shu's
+    1 -> 1 norm).  The directions and products still span the whole grid.
     """
     reps, radius, lengths = _oracle_blocks(E.shape[1], resolution)
     rep_pn = _row_norms(np.take(H, reps, axis=1).T, mu, p_vals)  # (blocks, P)
@@ -449,6 +454,29 @@ def _grid_survivors(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     return np.flatnonzero(mask)
 
 
+#: bracket width (radians) at which a polish lane stops.  Near a maximum the
+#: ratio is quadratic in the angle, so across a bracket of width sqrt(eps)
+#: it changes by about eps relative: rounding noise, no further gain
+_POLISH_TOL = math.sqrt(np.finfo(float).eps)
+
+
+def _fixed_row_norms(w: np.ndarray, ps: np.ndarray):
+    """``V -> _row_norms(V, w, ps[:, None])[:, 0]``, bit for bit, for the
+    fixed per-row exponents ``ps``: the rows are split into finite and
+    INFINITY exponents once here, not at every call."""
+    fin = np.flatnonzero(np.isfinite(ps))
+    ps_fin = ps[fin, None]
+
+    def norms(V: np.ndarray) -> np.ndarray:
+        absv = np.abs(V)
+        mx = absv.max(axis=1, keepdims=True)
+        out = mx[:, 0].copy()  # INFINITY rows: the row maximum
+        out[fin] = _finite_norms(absv.take(fin, 0), mx.take(fin, 0), w, ps_fin)[:, 0]
+        return out
+
+    return norms
+
+
 def _oracle_polish(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
                    signs: np.ndarray, theta: np.ndarray, qc: np.ndarray,
                    pc: np.ndarray, best: np.ndarray, step: float) -> np.ndarray:
@@ -456,33 +484,48 @@ def _oracle_polish(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
 
     Row ``i`` is one search: the angles ``theta[i]`` of a direction with
     sign pattern ``signs[i]``, maximizing the ``qc[i] -> pc[i]`` ratio from
-    the incumbent value ``best[i]``.  Each of 3 rounds searches every angle
-    within one grid ``step`` (clipped to [0, pi/2]) by golden section with
-    the incumbent rule of ``gls._golden_max``: 2 + 60 evaluations, a point
-    wins when its value is strictly larger or equal at a smaller angle, and
-    the angle moves only on a strict improvement.  The rows step as numpy
-    arrays, where ``gls._golden_max`` steps its one or two brackets as
-    Python floats; each form is the faster one at its lane count.  Every
-    step evaluates all rows with one batched product and one kernel call
-    for the source and target norms together (two when the two measures
-    differ).  Returns the polished values.
+    the incumbent value ``best[i]``.  A round searches every angle within
+    one grid ``step`` (clipped to [0, pi/2]) by golden section with the
+    incumbent rule of ``gls._golden_max``: a point wins when its value is
+    strictly larger or equal at a smaller angle, and the angle moves only
+    on a strict improvement.  A search makes 2 evaluations plus the golden
+    steps that shrink an unclipped bracket, ``2 * step`` wide, below
+    ``_POLISH_TOL`` (27 at resolution 720, 29 at 240); the lanes run in
+    lockstep, so a clipped, narrower bracket only finishes early.  There
+    are 3 rounds, or 1 for a single angle: its bracket holds a local
+    maximum (the grid argmax is at least its neighbours), so a second
+    search from the maximizer gains nothing beyond the tolerance.  The
+    polish stops after a round that moved no row, since rows are
+    independent and the next round would repeat it bit for bit.  The rows
+    step as numpy arrays, where ``gls._golden_max`` steps its one or two
+    brackets as Python floats; each form is the faster one at its lane
+    count.  Every step evaluates all rows with one batched product and one
+    kernel pass for the source and target norms together (two when the two
+    measures differ).  Returns the polished values.
     """
     Es = E[None, :, :] * signs[:, None, :]
     rows = qc.size
-    shared = mu.shape == nu.shape and np.array_equal(mu, nu)
-    exps = np.concatenate([qc, pc])[:, None]
+    if mu.shape == nu.shape and np.array_equal(mu, nu):
+        both = _fixed_row_norms(nu, np.concatenate([qc, pc]))
 
-    def ratios(angles: np.ndarray) -> np.ndarray:
-        G = _angles_to_directions(angles.T).T.copy()
-        H = (Es @ G[:, :, None])[:, :, 0]
-        if shared:
-            norms = _row_norms(np.concatenate([G, H]), nu, exps)[:, 0]
+        def ratios(angles: np.ndarray) -> np.ndarray:
+            G = _angles_to_directions(angles.T).T.copy()
+            norms = both(np.concatenate([G, (Es @ G[:, :, None])[:, :, 0]]))
             return norms[rows:] / norms[:rows]
-        return (_row_norms(H, mu, exps[rows:])[:, 0]
-                / _row_norms(G, nu, exps[:rows])[:, 0])
+    else:
+        source, target = _fixed_row_norms(nu, qc), _fixed_row_norms(mu, pc)
 
+        def ratios(angles: np.ndarray) -> np.ndarray:
+            G = _angles_to_directions(angles.T).T.copy()
+            return target((Es @ G[:, :, None])[:, :, 0]) / source(G)
+
+    # the widest bracket any row can have, so the count, and a row's value,
+    # does not depend on which rows share the call
+    width = min(2.0 * step, math.pi / 2.0)
+    steps = max(0, math.ceil(math.log(_POLISH_TOL / width) / math.log(_INVPHI)))
     theta = theta.copy()
-    for _ in range(3):
+    for _ in range(1 if theta.shape[1] == 1 else 3):
+        moved = False
         for axis in range(theta.shape[1]):
             trial = theta.copy()
 
@@ -498,7 +541,7 @@ def _oracle_polish(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
             f1, f2 = at(x1), at(x2)
             val, arg = _golden_take(best, theta[:, axis], x1, f1)
             val, arg = _golden_take(val, arg, x2, f2)
-            for _ in range(60):
+            for _ in range(steps):
                 left = f1 >= f2
                 hi = np.where(left, x2, hi)
                 lo = np.where(left, lo, x1)
@@ -510,6 +553,9 @@ def _oracle_polish(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
             up = val > best
             theta[up, axis] = arg[up]
             best = val
+            moved = moved or bool(up.any())
+        if not moved:
+            break
     return best
 
 
@@ -527,20 +573,17 @@ def op_norm_oracle_table(A: MatrixOperator, qs: Sequence[float],
     """Brute-force q->p operator norms for every (q, p) pair at once.
 
     All pairs share the direction grid, its cached q-norms and the matrix
-    products.  Per sign pattern, the grid columns go through the kernel
-    only in the blocks of the grid that a Lipschitz bound cannot rule out
-    as holding some pair's grid argmax (see ``_grid_survivors``); the
-    values are those of the full pass, bit for bit.  One kernel call per
-    chunk of those columns evaluates every distinct p, so ``log|Ag|`` is
-    taken once and only ``exp`` repeats per exponent.  The best grid or
-    classical candidate direction of each pair is then refined by one
-    golden-section polish that runs every pair in lockstep as array
-    operations (see ``_oracle_polish``); a pair's value does not depend on
-    which other pairs share the call.  The grid pass costs in proportion to
-    the evaluated share of the ``resolution**(n-1)`` columns: about a tenth
-    to a fifth on random 3x3 operators, all of them when a pair's ratio is
-    flat (Lo Shu's 1 -> 1 norm).  The directions and products still span
-    the whole grid.  Returns a dict keyed by (q, p).
+    products.  Per sign pattern, the grid pass runs the kernel only on the
+    blocks of columns that could hold some pair's grid argmax (see
+    ``_grid_survivors``).  One kernel call per chunk of those columns
+    evaluates every distinct p, so ``log|Ag|`` is taken once and only
+    ``exp`` repeats per exponent.  The best grid or classical candidate
+    direction of each pair is then refined by one golden-section polish
+    that runs every pair in lockstep as array operations, stops each search
+    at a bracket of sqrt(eps) radians and each pair after 3 rounds (1 for
+    a source of size 2) or a round that moved nothing (see
+    ``_oracle_polish``); a pair's value does not depend on which other
+    pairs share the call.  Returns a dict keyed by (q, p).
     """
     qs = [as_exponent(qv) for qv in qs]
     ps = [as_exponent(p) for p in ps]
@@ -641,10 +684,10 @@ def op_norm_oracle(A: MatrixOperator, q: float, p: float, resolution: int = 720,
     direction.  This is the one-pair case of ``op_norm_oracle_table``, whose
     shared-log grid pass and lockstep polish give the same value for a pair
     whichever pairs share the call, so several pairs of one operator are
-    cheaper as one table.  The grid holds ``resolution**(n-1)`` directions;
-    the time of its pass follows the share of them that the table's block
-    bound cannot skip (see ``op_norm_oracle_table``).  Sources larger than
-    4 are rejected unless ``allow_large`` is set.
+    cheaper as one table.  The grid holds ``resolution**(n-1)`` directions,
+    of which the pass evaluates those that a block bound cannot skip (see
+    ``_grid_survivors``).  Sources larger than 4 are rejected unless
+    ``allow_large`` is set.
     """
     table = op_norm_oracle_table(A, [q], [p], resolution=resolution,
                                  allow_large=allow_large, polish=polish)

@@ -129,6 +129,25 @@ def malformed_psi_specs(draw):
     return spec
 
 
+@st.composite
+def malformed_moment_specs(draw):
+    """Integral moment-norm specs that are wrong in one way."""
+    spec = {"kind": "integral", "s": 1, "weight": "const", "interval": [4, 8]}
+    flaw = draw(st.sampled_from(["s", "interval", "missing"]))
+    if flaw == "s":
+        spec["s"] = draw(_not_a_number)
+    elif flaw == "interval":
+        # as for a psi domain: b may be "inf" or null, a may not
+        spec["interval"] = draw(st.one_of(
+            _not_a_list, st.just([4]), st.just([4, 8, 9]),
+            st.tuples(_not_a_number, st.just(8)).map(list),
+            st.tuples(st.just(4), _not_a_number.filter(lambda x: x not in (None, "inf")))
+            .map(list)))
+    else:
+        del spec["interval"]
+    return spec
+
+
 class TestBasicCommands:
     def test_gls_norm(self, inputs, capsys):
         out = out_path(inputs, "r.json")
@@ -366,8 +385,9 @@ class TestErrorHandling:
                 assert f'"{field}" must be a list of numbers' in capsys.readouterr().err
 
     @given(spec=malformed_function_specs(), matrix=malformed_matrix_specs(),
-           square=malformed_matrix_specs(weights=False), psi_spec=malformed_psi_specs())
-    def test_malformed_function_specs(self, spec, matrix, square, psi_spec):
+           square=malformed_matrix_specs(weights=False), psi_spec=malformed_psi_specs(),
+           moment_spec=malformed_moment_specs())
+    def test_malformed_function_specs(self, spec, matrix, square, psi_spec, moment_spec):
         # every malformed spec is bad input: exit 2 and a one-line message
         with tempfile.TemporaryDirectory() as tmp:
             def write(name, payload):
@@ -377,6 +397,10 @@ class TestErrorHandling:
 
             f = write("f.json", spec)
             psi = write("psi.json", {"kind": "power", "m": 2})
+            A = write("A3.json", {"entries": [[8, 1, 6], [3, 5, 7], [4, 9, 2]]})
+            W = write("W.json", {"kind": "integral", "s": 1, "interval": [4, 8]})
+            R = write("R.json", {"kind": "integral", "s": 1, "interval": [1, 2]})
+            bad_moment = write("bad_moment.json", moment_spec)
             out = str(Path(tmp) / "out.json")
             runs = [["gls-norm", "--function", f, "--psi", psi],
                     ["fenchel-tail", "--function", f, "--psi", psi, "--t", "e",
@@ -385,7 +409,11 @@ class TestErrorHandling:
                     ["gls-norm", "--function", write("g.json", {"values": [1.0, -2.0]}),
                      "--psi", write("bad_psi.json", psi_spec)],
                     ["check-super-exact", "--matrix", write("M.json", square),
-                     "--pairs", "1:2"]]
+                     "--pairs", "1:2"],
+                    ["verify-theorem2", "--matrix", A, "--w-norm", bad_moment,
+                     "--r-norm", R, "--sigma", "3"],
+                    ["verify-theorem2", "--matrix", A, "--w-norm", W,
+                     "--r-norm", bad_moment, "--sigma", "3"]]
             for argv in runs:
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err), \
@@ -411,14 +439,35 @@ class TestErrorHandling:
                   'generating function spec "domain"'),
                  ("check-super-exact", "--matrix",
                   {"entries": [[8, 1, 6], [3, 5, 7], [4, 9, "2"]]},
-                  'magic square spec "entries"')]
+                  'magic square spec "entries"'),
+                 ("verify-theorem2", "--w-norm",
+                  {"kind": "integral", "s": True, "interval": [4, 8]},
+                  'moment norm spec "s"'),
+                 ("verify-theorem2", "--r-norm",
+                  {"kind": "integral", "s": "2", "interval": [1, 2]},
+                  'moment norm spec "s"'),
+                 ("verify-theorem2", "--w-norm",
+                  {"kind": "integral", "s": 1, "interval": [4, "8"]},
+                  'moment norm spec "interval" b'),
+                 ("verify-theorem2", "--r-norm",
+                  {"kind": "integral", "s": 1, "interval": [True, 2]},
+                  'moment norm spec "interval" a'),
+                 ("verify-theorem2", "--w-norm",
+                  {"kind": "integral", "s": 1, "interval": [4, 8, 9]},
+                  'moment norm spec "interval"'),
+                 ("verify-theorem2", "--r-norm",
+                  {"kind": "integral", "s": 1, "interval": 4},
+                  'moment norm spec "interval"')]
+        # the malformed spec comes last, so it replaces a well-formed one
         args = {"opnorm": ["--q", "2", "--p", "2"],
                 "gls-norm": ["--function", inputs["f"]],
-                "check-super-exact": ["--pairs", "1:2"]}
+                "check-super-exact": ["--pairs", "1:2"],
+                "verify-theorem2": ["--matrix", inputs["A"], "--w-norm", inputs["W"],
+                                    "--r-norm", inputs["R"], "--sigma", "3"]}
         for command, option, spec, field in cases:
             path = inputs["dir"] / "spec.json"
             path.write_text(json.dumps(spec))
-            assert run([command, option, str(path), *args[command],
+            assert run([command, *args[command], option, str(path),
                         "--output", out_path(inputs, "x.json")]) == 2
             assert field in capsys.readouterr().err
 

@@ -6,9 +6,9 @@ import pytest
 
 from glsx import (INFINITY, GridFunction, MatrixOperator, MeasureSpace,
                   OperatorBoundCertificate, apply, check_sigma_condition,
-                  make_boundary, make_power, minimal_constant, op_norm_lower,
-                  op_norm_oracle, operator_from_spec, restrict,
-                  verify_theorem1)
+                  check_super_exact, make_boundary, make_power, make_siamese,
+                  minimal_constant, op_norm_lower, op_norm_oracle,
+                  operator_from_spec, restrict, verify_theorem1)
 from glsx import opnorm
 from glsx.gls import exponent_grid
 from glsx.opnorm import op_norm_oracle_table
@@ -296,6 +296,69 @@ class TestOracle:
             for p in (2.0, 4.0, INFINITY):
                 if p >= q:
                     assert op_norm_oracle(A, q, p, resolution=360) <= base * (1 + 1e-9)
+
+
+def _polish_evaluations(monkeypatch, build) -> int:
+    """Ratio evaluations of the polish in ``build()``, run once beforehand so
+    that the direction grid (the other caller of the spherical map) is cached."""
+    build()
+    calls = []
+    spherical = opnorm._angles_to_directions
+
+    def counting(angles):
+        calls.append(angles.shape)
+        return spherical(angles)
+
+    monkeypatch.setattr(opnorm, "_angles_to_directions", counting)
+    build()
+    return len(calls)
+
+
+class TestPolish:
+    """The golden polish stops at a bracket of sqrt(eps) radians, after one
+    round for a single angle, and after a round that moved nothing."""
+
+    def test_two_to_two_is_the_largest_singular_value(self):
+        # on counting measures the 2 -> 2 norm is the spectral norm; the
+        # oracle is a lower bound of it, and at n = 2 a rounding-level one
+        rng = np.random.default_rng(31)
+        for n, count in ((2, 12), (3, 4)):
+            for signed in (False, True):
+                for _ in range(count):
+                    E = rng.uniform(0.0, 1.0, (n, n))
+                    if signed:
+                        E *= rng.choice([-1.0, 1.0], (n, n))
+                    value = op_norm_oracle(MatrixOperator.on_counting(E), 2, 2)
+                    svd = np.linalg.norm(E, 2)
+                    assert value <= svd * (1.0 + 1e-14)
+                    assert value >= svd * (1.0 - (1e-14 if n == 2 else 1e-8))
+
+    def test_fixed_row_norms_match_the_kernel(self):
+        rng = np.random.default_rng(41)
+        w = np.array([0.5, 2.0, 1.0])
+        for ps in ([1.0, 1.5, 2.0, 4.0], [INFINITY, 2.0, INFINITY, 1.0], [INFINITY] * 4):
+            ps = np.array(ps)
+            V = rng.standard_normal((ps.size, 3))
+            want = opnorm._row_norms(V, w, ps[:, None])[:, 0]
+            assert opnorm._fixed_row_norms(w, ps)(V).tobytes() == want.tobytes()
+
+    def test_evaluation_counts(self, monkeypatch):
+        # 2 + 27 evaluations per search at resolution 720, 2 + 29 at 240
+        rng = np.random.default_rng(37)
+        A = MatrixOperator.on_counting(rng.uniform(-1.0, 1.0, (2, 2)))
+        assert _polish_evaluations(
+            monkeypatch, lambda: op_norm_oracle_table(A, EXPONENTS, EXPONENTS)) == 2 + 27
+        monkeypatch.undo()
+        A = MatrixOperator.on_counting(rng.uniform(-1.0, 1.0, (3, 3)))
+        assert _polish_evaluations(
+            monkeypatch, lambda: op_norm_oracle_table(A, EXPONENTS, EXPONENTS)) \
+            <= 3 * 2 * (2 + 27)
+        monkeypatch.undo()
+        # Lo Shu's ratios peak at the constant candidate: its two tables
+        # (counting and normalized) stop before 3 rounds each
+        calls = _polish_evaluations(
+            monkeypatch, lambda: check_super_exact(make_siamese(3), [(1.0, 2.0), (2.0, 4.0)]))
+        assert calls < 2 * 3 * 2 * (2 + 29)
 
 
 def _full_grid_table(A, qs, ps, resolution, polish):
