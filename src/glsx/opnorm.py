@@ -32,9 +32,8 @@ import numpy as np
 from .genfun import ExponentInterval, GeneratingFunction
 from .gls import (_INVPHI, _INVPHI2, _TINY, PGrid, exponent_grid,
                   grid_from_points)
-from .measure import (INFINITY, GridFunction, MeasureSpace, _finite_norms,
-                      _row_norms, _spec_matrix, _spec_numbers, as_exponent,
-                      is_infinite)
+from .measure import (INFINITY, GridFunction, MeasureSpace, _row_norms,
+                      _spec_matrix, _spec_numbers, as_exponent, is_infinite)
 
 
 def inv_exponent(p: float) -> float:
@@ -460,23 +459,6 @@ def _grid_survivors(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
 _POLISH_TOL = math.sqrt(np.finfo(float).eps)
 
 
-def _fixed_row_norms(w: np.ndarray, ps: np.ndarray):
-    """``V -> _row_norms(V, w, ps[:, None])[:, 0]``, bit for bit, for the
-    fixed per-row exponents ``ps``: the rows are split into finite and
-    INFINITY exponents once here, not at every call."""
-    fin = np.flatnonzero(np.isfinite(ps))
-    ps_fin = ps[fin, None]
-
-    def norms(V: np.ndarray) -> np.ndarray:
-        absv = np.abs(V)
-        mx = absv.max(axis=1, keepdims=True)
-        out = mx[:, 0].copy()  # INFINITY rows: the row maximum
-        out[fin] = _finite_norms(absv.take(fin, 0), mx.take(fin, 0), w, ps_fin)[:, 0]
-        return out
-
-    return norms
-
-
 def _oracle_polish(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
                    signs: np.ndarray, theta: np.ndarray, qc: np.ndarray,
                    pc: np.ndarray, best: np.ndarray, step: float) -> np.ndarray:
@@ -492,32 +474,32 @@ def _oracle_polish(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     steps that shrink an unclipped bracket, ``2 * step`` wide, below
     ``_POLISH_TOL`` (27 at resolution 720, 29 at 240); the lanes run in
     lockstep, so a clipped, narrower bracket only finishes early.  There
-    are 3 rounds, or 1 for a single angle: its bracket holds a local
-    maximum (the grid argmax is at least its neighbours), so a second
-    search from the maximizer gains nothing beyond the tolerance.  The
-    polish stops after a round that moved no row, since rows are
-    independent and the next round would repeat it bit for bit.  The rows
-    step as numpy arrays, where ``gls._golden_max`` steps its one or two
-    brackets as Python floats; each form is the faster one at its lane
-    count.  Every step evaluates all rows with one batched product and one
-    kernel pass for the source and target norms together (two when the two
-    measures differ).  Returns the polished values.
+    are 3 rounds, or 1 for a single angle.  Its incumbent, the grid argmax
+    or a classical candidate that beat it, is at least every grid point of
+    its sign pattern, and its bracket holds a grid point on each side (or
+    ends at 0 or pi/2), so the bracket holds a local maximum; a second
+    search from the first one's maximizer gains nothing beyond the
+    tolerance.  The polish stops after a round that moved no row, since
+    rows are independent and the next round would repeat it bit for bit.
+    The rows step as numpy arrays, where ``gls._golden_max`` steps its one
+    or two brackets as Python floats; each form is the faster one at its
+    lane count.  Every step evaluates all rows with one batched product
+    and one kernel call for the source and target norms together (two
+    when the two measures differ).  Returns the polished values.
     """
     Es = E[None, :, :] * signs[:, None, :]
     rows = qc.size
-    if mu.shape == nu.shape and np.array_equal(mu, nu):
-        both = _fixed_row_norms(nu, np.concatenate([qc, pc]))
+    shared = mu.shape == nu.shape and np.array_equal(mu, nu)
+    exps = np.concatenate([qc, pc])[:, None]
 
-        def ratios(angles: np.ndarray) -> np.ndarray:
-            G = _angles_to_directions(angles.T).T.copy()
-            norms = both(np.concatenate([G, (Es @ G[:, :, None])[:, :, 0]]))
+    def ratios(angles: np.ndarray) -> np.ndarray:
+        G = _angles_to_directions(angles.T).T.copy()
+        H = (Es @ G[:, :, None])[:, :, 0]
+        if shared:
+            norms = _row_norms(np.concatenate([G, H]), nu, exps)[:, 0]
             return norms[rows:] / norms[:rows]
-    else:
-        source, target = _fixed_row_norms(nu, qc), _fixed_row_norms(mu, pc)
-
-        def ratios(angles: np.ndarray) -> np.ndarray:
-            G = _angles_to_directions(angles.T).T.copy()
-            return target((Es @ G[:, :, None])[:, :, 0]) / source(G)
+        return (_row_norms(H, mu, exps[rows:])[:, 0]
+                / _row_norms(G, nu, exps[:rows])[:, 0])
 
     # the widest bracket any row can have, so the count, and a row's value,
     # does not depend on which rows share the call

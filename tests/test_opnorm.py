@@ -333,14 +333,16 @@ class TestPolish:
                     assert value <= svd * (1.0 + 1e-14)
                     assert value >= svd * (1.0 - (1e-14 if n == 2 else 1e-8))
 
-    def test_fixed_row_norms_match_the_kernel(self):
-        rng = np.random.default_rng(41)
-        w = np.array([0.5, 2.0, 1.0])
-        for ps in ([1.0, 1.5, 2.0, 4.0], [INFINITY, 2.0, INFINITY, 1.0], [INFINITY] * 4):
-            ps = np.array(ps)
-            V = rng.standard_normal((ps.size, 3))
-            want = opnorm._row_norms(V, w, ps[:, None])[:, 0]
-            assert opnorm._fixed_row_norms(w, ps)(V).tobytes() == want.tobytes()
+    def test_one_round_from_the_constant_candidate(self):
+        # pi/4 is no grid angle at resolution 720: here the constant
+        # direction beats the grid, and the single search starts from it
+        for E in ([[2.0, 1.0], [1.0, 2.0]], [[2.0, 1.0], [1.0, 2.0003]]):
+            A = MatrixOperator.on_counting(np.array(E))
+            c = np.ones(2) / math.sqrt(2.0)
+            constant = np.linalg.norm(A.entries @ c) / np.linalg.norm(c)
+            assert op_norm_oracle(A, 2, 2, polish=False) == constant
+            svd = np.linalg.norm(A.entries, 2)
+            assert abs(op_norm_oracle(A, 2, 2) - svd) <= 1e-14 * svd
 
     def test_evaluation_counts(self, monkeypatch):
         # 2 + 27 evaluations per search at resolution 720, 2 + 29 at 240
