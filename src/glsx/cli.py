@@ -23,9 +23,9 @@ import numpy as np
 from .fenchel import tail_bound_check
 from .genfun import generating_function_from_spec
 from .gls import default_grid, exponent_grid, fundamental_function, gls_norm
-from .magic import (check_super_exact, make_doubly_even, make_siamese,
-                    make_uniform_magic, square_from_spec, square_to_spec,
-                    validate_magic)
+from .magic import (check_super_exact, entries_from_spec, make_doubly_even,
+                    make_siamese, make_uniform_magic, square_from_spec,
+                    square_to_spec, validate_magic)
 from .measure import INFINITY, load_grid_function
 from .mri import mri_norm_from_spec, supp_ordering, verify_theorem2
 from .opnorm import (OperatorBoundCertificate, check_sigma_condition,
@@ -90,24 +90,30 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _write_report(args, report: dict, rows=None, fieldnames=None) -> str:
-    fmt = args.format
-    out = args.output or f"glsx-{args.command}.{fmt}"
-    if fmt == "json":
+def _report(args, report: dict, table, line: str | None = None, ok: bool = True) -> int:
+    """Write ``report`` to its file, print one line and return the exit code.
+
+    JSON holds the whole report.  CSV holds ``table``, the report's rows or
+    its single result row, with the scalar fields only: lists such as
+    witnesses, violations and grids appear only in the JSON.  Without
+    ``line`` the result row is printed as JSON; with it, ``line`` and the
+    file name.  ``ok`` is false on an inequality violation.
+    """
+    out = args.output or f"glsx-{args.command}.{args.format}"
+    if args.format == "json":
         payload = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
     else:
-        if rows is None:
-            rows = report.get("rows", [])
-            fieldnames = fieldnames or (list(rows[0]) if rows else ["empty"])
+        rows = [{k: v for k, v in _jsonable(row).items() if not isinstance(v, (list, dict))}
+                for row in ([table] if isinstance(table, dict) else table)]
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _jsonable(v) for k, v in row.items()})
+        writer.writerows(rows)
         payload = buf.getvalue()
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(payload)
-    return out
+    print(json.dumps(_jsonable(table), sort_keys=True) if line is None else f"{line} -> {out}")
+    return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def _config_dict(args, **extra) -> dict:
@@ -130,12 +136,10 @@ def _cmd_gls_norm(args) -> int:
     res = gls_norm(f, psi, grid)
     result = {"norm": res.value, "argmax_p": res.argmax_p,
               "endpoint_flag": res.endpoint_flag}
-    print(json.dumps(_jsonable(result), sort_keys=True))
     report = {"config": _config_dict(args, function=args.function, psi=psi.to_spec(),
                                      grid=[float(p) for p in grid.points]),
               "result": result}
-    _write_report(args, report, rows=[result], fieldnames=list(result))
-    return EXIT_OK
+    return _report(args, report, result)
 
 
 def _cmd_fundamental(args) -> int:
@@ -144,11 +148,9 @@ def _cmd_fundamental(args) -> int:
     res = fundamental_function(psi, args.delta, grid)
     result = {"value": res.value, "argmax_p": res.argmax_p,
               "endpoint_flag": res.endpoint_flag, "delta": args.delta}
-    print(json.dumps(_jsonable(result), sort_keys=True))
     report = {"config": _config_dict(args, psi=psi.to_spec(), delta=args.delta),
               "result": result}
-    _write_report(args, report, rows=[result], fieldnames=list(result))
-    return EXIT_OK
+    return _report(args, report, result)
 
 
 def _cmd_fenchel_tail(args) -> int:
@@ -167,9 +169,8 @@ def _cmd_fenchel_tail(args) -> int:
     report = {"config": _config_dict(args, function=args.function, psi=psi.to_spec(),
                                      t=ts, normalize=args.normalize),
               "norm": rep.norm, "rows": rows, "all_ok": rep.all_ok}
-    out = _write_report(args, report, rows=rows, fieldnames=["t", "tail", "bound", "ok"])
-    print(f"tail bound check: {'ok' if rep.all_ok else 'VIOLATED'} -> {out}")
-    return EXIT_OK if rep.all_ok else EXIT_VIOLATION
+    return _report(args, report, rows, ok=rep.all_ok,
+                   line=f"tail bound check: {'ok' if rep.all_ok else 'VIOLATED'}")
 
 
 def _cmd_opnorm(args) -> int:
@@ -183,13 +184,10 @@ def _cmd_opnorm(args) -> int:
         res = op_norm_lower(A, q, p, restarts=args.restarts, seed=args.seed)
         result = {"value": res.value, "method": "ascent", "q": q, "p": p,
                   "witness": [float(x) for x in res.witness.values]}
-    print(json.dumps(_jsonable(result), sort_keys=True))
     report = {"config": _config_dict(args, matrix=args.matrix, oracle=args.oracle,
                                      restarts=args.restarts, resolution=args.resolution),
               "result": result}
-    _write_report(args, report, rows=[result],
-                  fieldnames=[k for k in result if k != "witness"])
-    return EXIT_OK
+    return _report(args, report, result)
 
 
 def _cmd_minimal_constant(args) -> int:
@@ -201,13 +199,11 @@ def _cmd_minimal_constant(args) -> int:
     res = minimal_constant(A, args.sigma, p_pts, q_pts,
                            samples=args.samples, seed=args.seed)
     result = {"cbar": res.value, "argmax_p": res.argmax_p, "argmax_q": res.argmax_q}
-    print(json.dumps(_jsonable(result), sort_keys=True))
     report = {"config": _config_dict(args, matrix=args.matrix, sigma=args.sigma,
                                      p_points=[float(x) for x in p_pts],
                                      q_points=[float(x) for x in q_pts]),
               "result": result}
-    _write_report(args, report, rows=[result], fieldnames=list(result))
-    return EXIT_OK
+    return _report(args, report, result)
 
 
 def _run_verify(args, A, p_interval, q_interval, p_pts, q_pts, verify,
@@ -227,16 +223,14 @@ def _run_verify(args, A, p_interval, q_interval, p_pts, q_pts, verify,
                           q_points=[float(x) for x in q_pts], **inputs)
     report = {"config": config, "sigma_condition": _jsonable(sig)}
     if not sig.holds:
-        out = _write_report(args, report)
-        print(f"certificate check failed (worst ratio {sig.worst_ratio}) -> {out}")
-        return EXIT_VIOLATION
+        return _report(args, report, report["sigma_condition"], ok=False,
+                       line=f"certificate check failed (worst ratio {sig.worst_ratio})")
     tol = args.tolerance if args.tolerance is not None else 1e-8
     rep = verify(cert, cbar, tol)
     report["result"] = _jsonable(rep)
-    out = _write_report(args, report)
-    print(f"{label}: {'ok' if rep.passed else 'VIOLATED'} "
-          f"(max lhs/rhs {rep.max_lhs_rhs_ratio:.6g}, cbar {rep.cbar:.6g}) -> {out}")
-    return EXIT_OK if rep.passed else EXIT_VIOLATION
+    return _report(args, report, report["result"], ok=rep.passed,
+                   line=f"{label}: {'ok' if rep.passed else 'VIOLATED'} (max lhs/rhs "
+                        f"{rep.max_lhs_rhs_ratio:.6g}, cbar {rep.cbar:.6g})")
 
 
 def _cmd_verify_theorem1(args) -> int:
@@ -275,7 +269,11 @@ def _cmd_verify_theorem2(args) -> int:
 
 
 def _build_square(args):
+    if args.matrix:
+        return square_from_spec(_load_json(args.matrix))
     n = args.order
+    if n is None:
+        raise ValueError("either --order or a square JSON file is required")
     if args.kind == "uniform" or (args.kind == "auto" and args.alpha is not None):
         if args.alpha is None:
             raise ValueError("--alpha is required for uniform squares")
@@ -292,37 +290,17 @@ def _build_square(args):
 
 def _cmd_magic(args) -> int:
     if args.validate:
-        rep = validate_magic(_load_json(args.validate)["entries"])
+        rep = validate_magic(entries_from_spec(_load_json(args.validate)))
         rows = [{"line": line.label, "sum": line.total, "deviation": line.deviation}
                 for line in rep.lines]
         report = {"config": _config_dict(args, validate=args.validate),
                   "ok": rep.ok, "alpha": rep.alpha, "nonnegative": rep.nonnegative,
                   "rows": rows}
-        out = _write_report(args, report, rows=rows,
-                            fieldnames=["line", "sum", "deviation"])
-        print(f"validation {'passed' if rep.ok else 'FAILED'} "
-              f"(alpha {rep.alpha}) -> {out}")
-        return EXIT_OK if rep.ok else EXIT_VIOLATION
-    if args.order is None:
-        raise ValueError("either --order or --validate is required")
+        return _report(args, report, rows, ok=rep.ok, line=f"validation "
+                       f"{'passed' if rep.ok else 'FAILED'} (alpha {rep.alpha})")
+    if args.pairs:
+        return _cmd_check_super_exact(args)
     square = _build_square(args)
-    if args.check_norms:
-        pairs = _parse_pairs(args.check_norms)
-        conventions = (("counting", "normalized") if args.convention == "both"
-                       else (args.convention,))
-        rep = check_super_exact(square, pairs, conventions=conventions,
-                                resolution=args.resolution)
-        rows = [{"q": r.q, "p": r.p, "convention": r.convention,
-                 "ordering": r.ordering, "oracle": r.oracle, "formula": r.formula,
-                 "rel_gap": r.rel_gap, "match": r.match} for r in rep.rows]
-        report = {"config": _config_dict(args, order=args.order, pairs=pairs,
-                                         resolution=args.resolution),
-                  "alpha": rep.alpha, "rows": rows,
-                  "matches": [i for i, r in enumerate(rep.rows) if r.match]}
-        out = _write_report(args, report, rows=rows, fieldnames=list(rows[0]))
-        print(f"norm comparison table with {sum(r.match for r in rep.rows)} "
-              f"matching rows -> {out}")
-        return EXIT_OK
     out = args.output or f"glsx-magic-{square.n}.json"
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(square_to_spec(square), fh, sort_keys=True, indent=2)
@@ -332,26 +310,23 @@ def _cmd_magic(args) -> int:
 
 
 def _cmd_check_super_exact(args) -> int:
-    if args.matrix:
-        square = square_from_spec(_load_json(args.matrix))
-    else:
-        if args.order is None:
-            raise ValueError("either --order or --matrix is required")
-        square = _build_square(args)
+    """The convention table of ``check-super-exact`` and ``magic --check-norms``."""
+    square = _build_square(args)
     pairs = _parse_pairs(args.pairs)
-    rep = check_super_exact(square, pairs, resolution=args.resolution)
+    conventions = (("counting", "normalized") if args.convention == "both"
+                   else (args.convention,))
+    rep = check_super_exact(square, pairs, conventions=conventions,
+                            resolution=args.resolution)
     rows = [{"q": r.q, "p": r.p, "convention": r.convention, "ordering": r.ordering,
              "oracle": r.oracle, "formula": r.formula, "rel_gap": r.rel_gap,
              "match": r.match} for r in rep.rows]
-    report = {"config": _config_dict(args, order=args.order, pairs=pairs,
-                                     resolution=args.resolution),
+    report = {"config": _config_dict(args, matrix=args.matrix, order=args.order,
+                                     kind=args.kind, alpha=args.alpha, pairs=pairs,
+                                     conventions=conventions, resolution=args.resolution),
               "alpha": rep.alpha, "n": rep.n, "rows": rows,
               "matching_rows": [i for i, r in enumerate(rep.rows) if r.match]}
-    out = _write_report(args, report, rows=rows, fieldnames=list(rows[0]))
-    matched = [r for r in rep.rows if r.match]
-    print(f"{len(matched)} of {len(rep.rows)} convention/ordering rows match "
-          f"the closed form -> {out}")
-    return EXIT_OK
+    return _report(args, report, rows, line=f"{len(rep.matches())} of {len(rep.rows)} "
+                   "convention/ordering rows match the closed form")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,29 +405,29 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=_cmd_verify_theorem2, grid_points=17)
 
+    def square(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--order", type=int, default=None)
+        p.add_argument("--kind", choices=("auto", "siamese", "doubly-even", "uniform"),
+                       default="auto")
+        p.add_argument("--alpha", type=float, default=None)
+        p.add_argument("--resolution", type=int, default=240)
+
     p = sub.add_parser("magic", help="build, validate, or norm-check magic squares")
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--kind", choices=("auto", "siamese", "doubly-even", "uniform"),
-                   default="auto")
-    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--validate", default=None, help="square JSON to validate")
-    p.add_argument("--check-norms", default=None, help="pairs like 1:2,2:4,1:inf")
+    p.add_argument("--check-norms", dest="pairs", default=None,
+                   help="pairs like 1:2,2:4,1:inf")
     p.add_argument("--convention", choices=("counting", "normalized", "both"),
                    default="both")
-    p.add_argument("--resolution", type=int, default=240)
+    square(p)
     common(p)
-    p.set_defaults(fn=_cmd_magic, format="csv")
+    p.set_defaults(fn=_cmd_magic, format="csv", matrix=None)
 
     p = sub.add_parser("check-super-exact", help="closed-form convention table")
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--kind", choices=("auto", "siamese", "doubly-even", "uniform"),
-                   default="auto")
-    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--matrix", default=None, help="square JSON instead of --order")
     p.add_argument("--pairs", required=True, help="pairs like 1:inf,2:4")
-    p.add_argument("--resolution", type=int, default=240)
+    square(p)
     common(p)
-    p.set_defaults(fn=_cmd_check_super_exact, format="csv")
+    p.set_defaults(fn=_cmd_check_super_exact, format="csv", convention="both")
 
     return parser
 

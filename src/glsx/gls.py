@@ -17,14 +17,9 @@ smaller exponent; this is a total order, so the result does not depend on
 which bracket offered a candidate first.
 
 ``gls_norm`` computes the Lp profile only at the grid points that could be
-the grid argmax or the second bracket centre.  ``t = 1/p -> log ||f||_{1/t}``
-is convex (Lyapunov's inequality; Hardy, Littlewood & Polya), so between two
-evaluated grid points the profile lies below the chord of its logarithm.  A
-point whose chord bound, widened by a relative slack of 1e-9 and divided by
-psi, falls strictly below every candidate cannot be either; it enters the
-grid maximum as ``-inf``.  A guard evaluates every point when subnormal
-rounding could exceed the slack.  The grid argmax, the second centre, the
-endpoint flag and hence every value come out as from a full pass.
+the grid argmax or the second bracket centre; ``_grid_ratios`` states why
+the points it skips cannot be either, so every value comes out as from a
+full pass.
 """
 from __future__ import annotations
 
@@ -70,7 +65,6 @@ class PGrid:
 
     interval: ExponentInterval
     points: tuple
-    endpoint_offset: float = 0.0
     refinement_depth: int = DEFAULT_REFINEMENT
     include_infinity: bool = False
 
@@ -98,12 +92,10 @@ class PGrid:
     def without_infinity(self) -> "PGrid":
         if not self.include_infinity:
             return self
-        return PGrid(self.interval, self.points, self.endpoint_offset,
-                     self.refinement_depth, False)
+        return PGrid(self.interval, self.points, self.refinement_depth, False)
 
     def with_refinement(self, depth: int) -> "PGrid":
-        return PGrid(self.interval, self.points, self.endpoint_offset,
-                     int(depth), self.include_infinity)
+        return PGrid(self.interval, self.points, int(depth), self.include_infinity)
 
 
 @dataclass(frozen=True)
@@ -145,8 +137,7 @@ def default_grid(psi: GeneratingFunction, n_points: int = DEFAULT_POINTS,
                  refinement_depth: int = DEFAULT_REFINEMENT,
                  p_max: float = P_MAX,
                  endpoint_offset: Optional[float] = None,
-                 include_infinity: Optional[bool] = None,
-                 extra_points: Sequence[float] = ()) -> PGrid:
+                 include_infinity: Optional[bool] = None) -> PGrid:
     """Default evaluation grid for a generating function.
 
     Log-spaced points on ``[a, min(b - eps, p_max)]`` merged with the
@@ -154,22 +145,20 @@ def default_grid(psi: GeneratingFunction, n_points: int = DEFAULT_POINTS,
     """
     a, b = psi.domain.a, psi.domain.b
     pts = exponent_grid(a, b, n_points, p_max=p_max, endpoint_offset=endpoint_offset)
-    extras = [float(x) for x in (*psi.anchors, *extra_points)
+    extras = [float(x) for x in psi.anchors
               if a <= float(x) < b and math.isfinite(float(x))]
     if extras:
         pts = np.unique(np.concatenate([pts, np.asarray(extras)]))
     if include_infinity is None:
         include_infinity = psi.infinity_value is not None
-    eps = float(b - pts[-1]) if math.isfinite(b) else 0.0
-    return PGrid(psi.domain, tuple(pts), eps, refinement_depth, bool(include_infinity))
+    return PGrid(psi.domain, tuple(pts), refinement_depth, bool(include_infinity))
 
 
 def grid_from_points(interval: ExponentInterval, points: Sequence[float],
                      refinement_depth: int = DEFAULT_REFINEMENT,
                      include_infinity: bool = False) -> PGrid:
     pts = tuple(sorted(float(p) for p in points))
-    eps = interval.b - pts[-1] if math.isfinite(interval.b) else 0.0
-    return PGrid(interval, pts, eps, refinement_depth, include_infinity)
+    return PGrid(interval, pts, refinement_depth, include_infinity)
 
 
 def _golden_lane(lo: float, hi: float, x1: float, x2: float, f1: float,
@@ -293,15 +282,19 @@ def _grid_ratios(logs: np.ndarray, peak: np.ndarray, w: np.ndarray,
     """``lp_norm / psi`` at every grid point that could be the grid argmax
     or the second bracket centre of ``sup_over_grid``; ``-inf`` elsewhere.
 
+    The pruning argument: ``t = 1/p -> log ||f||_{1/t}`` is convex
+    (Lyapunov's inequality; Hardy, Littlewood & Polya), so between two
+    evaluated grid points the profile lies below the chord of its logarithm.
     The first pass evaluates ``_FIRST_PASS`` evenly spaced points.  Each
     later pass evaluates, in one kernel call, every point whose chord bound
     ``exp(chord) * (1 + _CHORD_SLACK) / psi`` is not a number strictly below
     ``T``, the best ratio outside the +-1 window of the best (``T`` is also
     at most the best).  A point below ``T`` ties neither the argmax nor the
-    masked second maximum.  The slack is relative, so the guard sets
-    ``T = -inf`` and evaluates every point unless every weight is at least
-    ``tiny * (mass + n)`` (the kernel's subnormal terms then round below
-    the slack) and every evaluated norm is a normal float.
+    masked second maximum, so the grid argmax, the second centre and the
+    endpoint flag equal those of a full pass.  The slack is relative, so the
+    guard sets ``T = -inf`` and evaluates every point unless every weight is
+    at least ``tiny * (mass + n)`` (the kernel's subnormal terms then round
+    below the slack) and every evaluated norm is a normal float.
     """
     n = pts.size
     nt = -1.0 / pts  # -1/p rises along the grid, as np.interp needs
@@ -341,13 +334,10 @@ def gls_norm(f: GridFunction, psi: GeneratingFunction,
     through its anchor.  The result is a lower bound of the continuum
     supremum; see the module docstring for the endpoint flag semantics.
 
-    The grid pass (``_grid_ratios``) skips the points that Lyapunov's chord
-    rules out: their chord bound, widened by the relative slack 1e-9
-    (``_CHORD_SLACK``, far above the kernel's rounding), over the exact
-    ``psi`` falls strictly below every candidate for the argmax and the
-    second bracket.  A guard evaluates every point when subnormal rounding
-    could exceed the slack.  Value, argmax and flag equal those of the full
-    pass.  Raises ``ValueError`` when the Lp norm of f overflows.
+    The grid pass skips the points that cannot be the argmax or the second
+    bracket centre (the argument is in ``_grid_ratios``); value, argmax and
+    flag equal those of the full pass.  Raises ``ValueError`` when the Lp
+    norm of f overflows.
     """
     if grid is None:
         grid = default_grid(psi)

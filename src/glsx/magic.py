@@ -117,10 +117,16 @@ def make_doubly_even(n: int) -> MagicSquare:
     return MagicSquare(board, n * (n * n + 1) / 2.0)
 
 
-def square_from_spec(spec: dict) -> MagicSquare:
+def entries_from_spec(spec: dict) -> np.ndarray:
+    """The ``entries`` of a magic square spec as a float matrix; entries
+    must be JSON numbers, not booleans or strings."""
     if not isinstance(spec, dict) or "entries" not in spec:
         raise ValueError('magic square spec needs an "entries" list of rows')
-    entries = _spec_matrix(spec["entries"], 'magic square spec "entries"')
+    return _spec_matrix(spec["entries"], 'magic square spec "entries"')
+
+
+def square_from_spec(spec: dict) -> MagicSquare:
+    entries = entries_from_spec(spec)
     report = validate_magic(entries)
     if not report.ok:
         raise ValueError("entries do not form a nonnegative magic square")

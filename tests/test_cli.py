@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -220,6 +221,53 @@ class TestBasicCommands:
         assert out["cbar"] == pytest.approx(8.660249280712561, rel=1e-15, abs=0.0)
 
 
+# every subcommand that writes a report: its argv (input files named by their
+# fixture key), the exit code, and columns its CSV must hold
+_REPORTS = {
+    "gls-norm": (["gls-norm", "--function", "f", "--psi", "psi"], 0,
+                 {"norm", "argmax_p", "endpoint_flag"}),
+    "fundamental": (["fundamental", "--psi", "psi", "--delta", "9"], 0, {"value", "delta"}),
+    "fenchel-tail": (["fenchel-tail", "--function", "f", "--psi", "psi", "--t", "e,10",
+                      "--normalize"], 0, {"t", "tail", "bound", "ok"}),
+    "opnorm-ascent": (["opnorm", "--matrix", "A", "--q", "2", "--p", "4",
+                       "--restarts", "4"], 0, {"value", "method", "q", "p"}),
+    "opnorm-oracle": (["opnorm", "--matrix", "A", "--q", "2", "--p", "4", "--oracle",
+                       "--resolution", "60"], 0, {"value", "method", "q", "p"}),
+    "minimal-constant": (["minimal-constant", "--matrix", "A", "--sigma", "3",
+                          "--p-interval", "4:8", "--q-interval", "1:2"], 0,
+                         {"cbar", "argmax_p", "argmax_q"}),
+    "verify-theorem1": (["verify-theorem1", "--matrix", "A", "--psi", "psi48", "--nu",
+                         "nu12", "--sigma", "3", "--samples", "50", "--restarts", "2"], 0,
+                        {"passed", "max_lhs_rhs_ratio", "cbar"}),
+    "verify-theorem2": (["verify-theorem2", "--matrix", "A", "--w-norm", "W", "--r-norm",
+                         "R", "--sigma", "3", "--samples", "50", "--restarts", "2"], 0,
+                        {"passed", "max_lhs_rhs_ratio", "cbar"}),
+    "failed-certificate": (["verify-theorem1", "--matrix", "A", "--psi", "psi48", "--nu",
+                            "nu12", "--sigma", "3", "--c", "0.5", "--samples", "50",
+                            "--restarts", "2"], 1, {"holds", "worst_ratio"}),
+    "magic-validate": (["magic", "--validate", "A"], 0, {"line", "sum", "deviation"}),
+    "magic-check-norms": (["magic", "--order", "3", "--check-norms", "1:2",
+                           "--resolution", "30"], 0, {"q", "p", "oracle", "match"}),
+    "check-super-exact": (["check-super-exact", "--matrix", "A", "--pairs", "1:2",
+                           "--resolution", "30"], 0, {"q", "p", "oracle", "match"}),
+}
+
+
+class TestReports:
+    @pytest.mark.parametrize("case", list(_REPORTS))
+    def test_csv_exits_as_json_and_holds_scalar_rows(self, inputs, capsys, case):
+        argv, code, columns = _REPORTS[case]
+        argv = [inputs.get(token, token) for token in argv]
+        for fmt in ("json", "csv"):
+            assert run([*argv, "--format", fmt,
+                        "--output", out_path(inputs, f"report.{fmt}")]) == code, fmt
+        with open(out_path(inputs, "report.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) >= 2 and columns <= set(rows[0])
+        # lists (witnesses, violations, grids) appear only in the JSON
+        assert not any(cell.startswith("[") for row in rows for cell in row)
+
+
 class TestVerifyCommands:
     def test_verify_theorem1_identity(self, inputs, capsys):
         ident = str(inputs["dir"] / "ident.json")
@@ -306,6 +354,26 @@ class TestMagicCommands:
         assert code == 0
         text = open(out).read()
         assert "True" in text  # at least one matching combination recorded
+
+    def test_convention_table_config_names_the_square(self, inputs, capsys):
+        # two runs that differ in one option write different config blocks
+        transposed = out_path(inputs, "AT.json")
+        with open(transposed, "w") as fh:
+            json.dump({"entries": [[8, 3, 4], [1, 5, 9], [6, 7, 2]]}, fh)
+        table = ["check-super-exact", "--pairs", "1:2", "--resolution", "30"]
+        norms = ["magic", "--order", "3", "--check-norms", "1:2", "--resolution", "30"]
+        pairs = [([*table, "--matrix", inputs["A"]], [*table, "--matrix", transposed]),
+                 ([*table, "--order", "4"], [*table, "--order", "4", "--kind", "doubly-even"]),
+                 ([*table, "--order", "3", "--alpha", "2"],
+                  [*table, "--order", "3", "--alpha", "3"]),
+                 ([*norms, "--convention", "counting"], [*norms, "--convention", "both"])]
+        out = out_path(inputs, "table.json")
+        for argvs in pairs:
+            configs = []
+            for argv in argvs:
+                assert run([*argv, "--format", "json", "--output", out]) == 0
+                configs.append(json.loads(open(out).read())["config"])
+            assert configs[0] != configs[1], argvs
 
     def test_singly_even_rejected(self, inputs):
         assert run(["magic", "--order", "6",
@@ -440,6 +508,11 @@ class TestErrorHandling:
                  ("check-super-exact", "--matrix",
                   {"entries": [[8, 1, 6], [3, 5, 7], [4, 9, "2"]]},
                   'magic square spec "entries"'),
+                 ("magic", "--validate", {"entries": [[True]]},
+                  'magic square spec "entries"'),
+                 ("magic", "--validate",
+                  {"entries": [["8", "1", "6"], ["3", "5", "7"], ["4", "9", "2"]]},
+                  'magic square spec "entries"'),
                  ("verify-theorem2", "--w-norm",
                   {"kind": "integral", "s": True, "interval": [4, 8]},
                   'moment norm spec "s"'),
@@ -462,6 +535,7 @@ class TestErrorHandling:
         args = {"opnorm": ["--q", "2", "--p", "2"],
                 "gls-norm": ["--function", inputs["f"]],
                 "check-super-exact": ["--pairs", "1:2"],
+                "magic": [],
                 "verify-theorem2": ["--matrix", inputs["A"], "--w-norm", inputs["W"],
                                     "--r-norm", inputs["R"], "--sigma", "3"]}
         for command, option, spec, field in cases:
