@@ -5,13 +5,13 @@ For each exponent pair, measures the brute-force operator norm under both
 uniform measure conventions (weights 1 and weights 1/n) and both exponent
 orderings, and tabulates the relative gap to the closed form
 alpha * n**(1/q - 1/p).  The table shows which convention/ordering realizes
-the closed form; nothing is asserted.
+the closed form; nothing is asserted.  The CSV is the one
+``glsx check-super-exact --order N --pairs ... --format csv`` writes.
 """
 import argparse
-import csv
 import sys
 
-from glsx import check_super_exact, make_doubly_even, make_siamese
+from glsx.cli import run
 
 
 def main() -> int:
@@ -21,34 +21,9 @@ def main() -> int:
     ap.add_argument("--resolution", type=int, default=240)
     ap.add_argument("--output", default="convention_table.csv")
     args = ap.parse_args()
-
-    from glsx.cli import _parse_pairs
-
-    if args.order % 2 == 1:
-        square = make_siamese(args.order)
-    elif args.order % 4 == 0:
-        square = make_doubly_even(args.order)
-    else:
-        ap.error("singly even orders have no built-in constructor")
-    report = check_super_exact(square, _parse_pairs(args.pairs),
-                               resolution=args.resolution)
-
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["q", "p", "convention", "ordering", "oracle",
-                         "formula", "rel_gap", "match"])
-        for r in report.rows:
-            writer.writerow([r.q, r.p, r.convention, r.ordering, r.oracle,
-                             r.formula, r.rel_gap, r.match])
-
-    width = max(len(r.convention) for r in report.rows)
-    for r in report.rows:
-        mark = "MATCH" if r.match else "     "
-        print(f"(q={r.q:g}, p={r.p:g}) {r.convention:<{width}} {r.ordering} "
-              f"oracle={r.oracle:12.6f} formula={r.formula:12.6f} "
-              f"gap={r.rel_gap:9.2e} {mark}")
-    print(f"\nalpha = {report.alpha}, wrote {args.output}")
-    return 0
+    return run(["check-super-exact", "--order", str(args.order), "--pairs", args.pairs,
+                "--resolution", str(args.resolution), "--format", "csv",
+                "--output", args.output])
 
 
 if __name__ == "__main__":

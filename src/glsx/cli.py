@@ -270,6 +270,11 @@ def _cmd_verify_theorem2(args) -> int:
 
 def _build_square(args):
     if args.matrix:
+        given = [f"--{name}" for name in ("order", "kind", "alpha")
+                 if getattr(args, name) not in (None, "auto")]
+        if given:
+            raise ValueError(f"--matrix gives the square; it cannot be combined "
+                             f"with {', '.join(given)}")
         return square_from_spec(_load_json(args.matrix))
     n = args.order
     if n is None:

@@ -437,8 +437,8 @@ def _grid_survivors(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     if not (all(w.min() >= (w.sum() + w.size) * _TINY for w in (mu, nu))
             and all(np.all((x >= _TINY) & (x <= _HUGE)) for x in (rep_pn, lip))):
         return None  # NaN fails both comparisons
-    # (exponents, blocks): short-axis reductions run slowly on the tall
-    # layout (see ``measure._row_norms``)
+    # (exponents, blocks): the kernel returns a tall C-ordered table, on
+    # which the short-axis reductions below would run row by row
     rep_pn = np.ascontiguousarray(rep_pn.T)
     top = (rep_pn + lip[:, None] * (radius * step + _RADIUS_PAD)) * (1.0 + _BLOCK_SLACK)
     keep = np.zeros(reps.size, dtype=bool)

@@ -375,6 +375,23 @@ class TestMagicCommands:
                 configs.append(json.loads(open(out).read())["config"])
             assert configs[0] != configs[1], argvs
 
+    @pytest.mark.parametrize("extra, named", [
+        (["--order", "4", "--kind", "doubly-even"], "--order, --kind"),
+        (["--alpha", "2"], "--alpha"),
+        (["--order", "3"], "--order"),
+        (["--kind", "siamese"], "--kind"),
+    ])
+    def test_matrix_conflicts_with_square_options(self, inputs, capsys, extra, named):
+        # the JSON square would silently win while the config recorded the rest
+        out = out_path(inputs, "conflict.json")
+        assert run(["check-super-exact", "--matrix", inputs["A"], "--pairs", "1:2",
+                    "--resolution", "30", *extra, "--format", "json",
+                    "--output", out]) == 2
+        assert f"cannot be combined with {named}" in capsys.readouterr().err
+        assert run(["check-super-exact", "--matrix", inputs["A"], "--pairs", "1:2",
+                    "--resolution", "30", "--kind", "auto", "--format", "json",
+                    "--output", out]) == 0
+
     def test_singly_even_rejected(self, inputs):
         assert run(["magic", "--order", "6",
                     "--output", out_path(inputs, "x.json")]) == 2

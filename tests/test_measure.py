@@ -166,11 +166,11 @@ class TestLpNormTable:
     def test_layout_does_not_change_bits_below_width_8(self, width):
         """C- and Fortran-ordered input give the same bits at widths 1-7, in
         table and per-row mode; the oracle's grid pass gathers its columns
-        in either layout.  From width 8 the two layouts may sum in different
-        orders (numpy's pairwise sum unrolls by 8 on a contiguous axis).  The
-        kernel's short-axis reductions also run slower on C-ordered tall
-        input: an 8,738 x 3 call with four exponents takes about 3-5x as
-        long as on Fortran-ordered input."""
+        in either layout.  Both layouts run the kernel column-major at
+        these widths, so this pins the result, not the summation order:
+        ``test_rows_do_not_depend_on_their_call`` pins that.  From width 8
+        the two layouts may sum in different orders (numpy's pairwise sum
+        unrolls by 8 on a contiguous axis)."""
         rng = np.random.default_rng(width)
         V = rng.standard_normal((500, width)) * np.exp(rng.uniform(-30.0, 30.0, (500, 1)))
         V[7] = 0.0
@@ -181,6 +181,32 @@ class TestLpNormTable:
         assert _row_norms(V, w, ps).tobytes() == _row_norms(F, w, ps).tobytes()
         per_row = np.resize(ps, V.shape[0])[:, None]
         assert _row_norms(V, w, per_row).tobytes() == _row_norms(F, w, per_row).tobytes()
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_rows_do_not_depend_on_their_call(self, width):
+        """Every output row equals, byte for byte, a one-row call on that
+        row, in both input layouts, table and per-row mode, with and without
+        INFINITY; the result is C-ordered.  Below width 8 the kernel reduces
+        across columns; a one-row call sums its row as one contiguous run,
+        so this pins that the two orders agree.  Fortran-ordered input of
+        width 8 or more is left out: it keeps numpy's order, which adds the
+        columns of a tall call one by one, while a lone row sums pairwise."""
+        rng = np.random.default_rng(100 + width)
+        V = rng.standard_normal((300, width)) * np.exp(rng.uniform(-30.0, 30.0, (300, 1)))
+        V[5] = 0.0
+        w = rng.uniform(0.1, 2.0, width)
+        mixed = np.array([1.0, 1.5, 2.0, 3.7, 60.0, INFINITY])
+        finite = mixed[:-1]
+        for X in (V, np.asfortranarray(V)):
+            for ps in (mixed, finite, mixed[-1:], np.resize(mixed, 300)[:, None],
+                       np.resize(finite, 300)[:, None]):
+                out = _row_norms(X, w, ps)
+                assert out.flags.c_contiguous
+                if width >= 8 and X.flags.f_contiguous:
+                    continue
+                for i in range(X.shape[0]):
+                    one = _row_norms(X[i:i + 1], w, ps if ps.ndim == 1 else ps[i:i + 1])
+                    assert out[i].tobytes() == one[0].tobytes(), (i, ps.ndim)
 
     def test_zero_rows_and_empty_exponents(self):
         got = lp_norm_table([[0.0, 0.0], [3.0, -4.0]], [1.0, 1.0], [2.0, INFINITY])

@@ -18,11 +18,26 @@ ROOT = Path(__file__).resolve().parent.parent
 ])
 def test_script_writes_csv(tmp_path, script, args):
     out = tmp_path / "out.csv"
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args,
-                           "--output", str(out)], cwd=tmp_path,
-                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    _run_script(tmp_path, script, [*args, "--output", str(out)])
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) >= 2 and all(len(row) == len(rows[0]) for row in rows)
+
+
+def test_convention_table_is_the_cli_table(tmp_path):
+    """The script writes the CSV of ``check-super-exact`` byte for byte."""
+    from glsx.cli import run
+
+    script_out, cli_out = tmp_path / "script.csv", tmp_path / "cli.csv"
+    args = ["--order", "3", "--pairs", "1:2", "--resolution", "60"]
+    _run_script(tmp_path, "convention_table.py", [*args, "--output", str(script_out)])
+    assert run(["check-super-exact", *args, "--format", "csv",
+                "--output", str(cli_out)]) == 0
+    assert script_out.read_bytes() == cli_out.read_bytes()
+
+
+def _run_script(cwd, script, args):
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
