@@ -46,17 +46,13 @@ def _parse_exponent(token: str) -> float:
     return float(token)
 
 
-def _parse_pairs(text: str) -> list:
-    pairs = []
-    for chunk in text.split(","):
-        a, b = chunk.split(":")
-        pairs.append((_parse_exponent(a), _parse_exponent(b)))
-    return pairs
-
-
-def _parse_interval(text: str) -> tuple:
-    a, b = text.split(":")
-    return (_parse_exponent(a), _parse_exponent(b))
+def _parse_pair(text: str, option: str) -> tuple:
+    """Two exponents ``a:b``; a malformed pair is an error naming ``option``."""
+    try:
+        a, b = text.split(":")
+        return (_parse_exponent(a), _parse_exponent(b))
+    except ValueError:
+        raise ValueError(f"{option} takes exponents as a:b, got {text!r}") from None
 
 
 def _jsonable(obj):
@@ -192,8 +188,8 @@ def _cmd_opnorm(args) -> int:
 
 def _cmd_minimal_constant(args) -> int:
     A = operator_from_spec(_load_json(args.matrix))
-    a, b = _parse_interval(args.p_interval)
-    c, d = _parse_interval(args.q_interval)
+    a, b = _parse_pair(args.p_interval, "--p-interval")
+    c, d = _parse_pair(args.q_interval, "--q-interval")
     p_pts = exponent_grid(a, b, args.grid_points)
     q_pts = exponent_grid(c, d, args.grid_points)
     res = minimal_constant(A, args.sigma, p_pts, q_pts,
@@ -317,7 +313,8 @@ def _cmd_magic(args) -> int:
 def _cmd_check_super_exact(args) -> int:
     """The convention table of ``check-super-exact`` and ``magic --check-norms``."""
     square = _build_square(args)
-    pairs = _parse_pairs(args.pairs)
+    option = "--check-norms" if args.command == "magic" else "--pairs"
+    pairs = [_parse_pair(chunk, option) for chunk in args.pairs.split(",")]
     conventions = (("counting", "normalized") if args.convention == "both"
                    else (args.convention,))
     rep = check_super_exact(square, pairs, conventions=conventions,
@@ -441,6 +438,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

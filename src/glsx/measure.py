@@ -17,7 +17,8 @@ to ``1e4`` and beyond; every term is nonnegative, so numpy's pairwise
 summation is accurate to a few ulps at any size.  ``INFINITY`` gives ``M``.
 A norm does not depend on which other exponents or rows share its call.
 ``gls_norm`` calls the kernel's two stages itself, ``_log_stage`` once and
-``_root_stage`` per batch of exponents, and gets the same norms.
+``_root_stage`` per batch of exponents, and the ascent's ``opnorm._col_norms``
+runs their arithmetic by columns; both get the kernel's norms bit for bit.
 
 Layout: rows narrower than 8 are laid out column-major, so the row maximum,
 the ``exp`` terms and the row sum run elementwise across columns instead of

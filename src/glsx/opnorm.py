@@ -5,6 +5,9 @@ Norm estimation comes in two independent flavors:
 * ``op_norm_lower`` runs an alternating duality-map ascent (a nonlinear
   power iteration) from many starts.  Every iterate is a feasible ratio, so
   the best ratio seen is a certified LOWER bound of the true operator norm.
+  Each side's exponent class (1, INFINITY or finite) is fixed per batch,
+  the target norm and duality map share one log table per product, and
+  start blocks are cached per integer seed (see ``_ascent_batch``).
 * ``op_norm_oracle`` brute-forces the unit sphere of the source space with
   a dense angular grid plus a coordinate-wise golden-section polish that
   stops at brackets of sqrt(eps) radians.  It is restricted to small
@@ -114,58 +117,82 @@ def apply(A: MatrixOperator, g: GridFunction) -> GridFunction:
     return GridFunction(A.target, A.entries @ g.values)
 
 
-def _dual_target_pc(H: np.ndarray, w: np.ndarray, pc: np.ndarray) -> np.ndarray:
-    """Columnwise ascent direction of the weighted p-norm at H (unscaled)."""
-    U = np.empty_like(H)
-    absh = np.abs(H)
-    one = pc == 1.0
-    if one.any():
-        U[:, one] = w[:, None] * np.sign(H[:, one])
-    inf = np.isinf(pc)
-    if inf.any():
-        cols = np.flatnonzero(inf)
-        block = np.zeros((H.shape[0], cols.size))
-        idx = absh[:, cols].argmax(axis=0)
-        block[idx, np.arange(cols.size)] = np.sign(H[idx, cols])
-        U[:, cols] = block
-    rest = ~(one | inf)
-    if rest.any():
-        Hr = absh[:, rest]
-        mx = Hr.max(axis=0)
-        mx = np.where(mx > 0.0, mx, 1.0)
-        with np.errstate(divide="ignore"):
-            logs = np.log(Hr / mx)
-        U[:, rest] = w[:, None] * np.exp(logs * (pc[rest] - 1.0)[None, :]) * np.sign(H[:, rest])
+#: exponent classes of one batch side, each with its own duality-map formula
+_ONE, _INF, _FINITE = "one", "inf", "finite"
+
+
+def _exponent_classes(ec: np.ndarray) -> tuple:
+    """``(class, column mask)`` of each class present among the exponents
+    ``ec`` of a batch side, and the class of every column (``None`` if mixed)."""
+    one, inf = ec == 1.0, np.isinf(ec)
+    parts = [(c, m) for c, m in ((_ONE, one), (_INF, inf), (_FINITE, ~(one | inf))) if m.any()]
+    return parts, parts[0][0] if len(parts) == 1 else None
+
+
+def _log_table(absx: np.ndarray) -> tuple:
+    """Column maxima ``M`` of ``absx >= 0`` and ``log(absx / M)``: the log
+    stage of the norm kernel, by columns."""
+    mx = absx.max(axis=0)
+    return mx, np.log(absx / np.where(mx > 0.0, mx, 1.0))
+
+
+def _col_norms(X: np.ndarray, w: np.ndarray, e: np.ndarray, cls) -> tuple:
+    """``_row_norms(X.T, w, e[:, None])[:, 0]`` bit for bit (the kernel's
+    arithmetic, summed in its layout), and X's log table at a finite class
+    ``cls``; ``None`` for mixed classes, which the kernel splits itself."""
+    if cls is None:
+        return _row_norms(X.T, w, e[:, None])[:, 0], None
+    if cls == _INF:
+        return np.abs(X).max(axis=0), None
+    mx, logs = _log_table(np.abs(X))
+    terms = np.exp(logs * e)
+    terms *= w[:, None]
+    sums = terms.sum(axis=0)
+    out = sums ** (1.0 / e)
+    np.sqrt(sums, out=out, where=e == 2.0)  # as the kernel roots every p = 2
+    return out * mx, logs
+
+
+def _dual_target(H: np.ndarray, logs: Optional[np.ndarray], w: np.ndarray,
+                 pa: np.ndarray, parts: list, cols: np.ndarray) -> np.ndarray:
+    """Columnwise ascent direction of the weighted p-norm at H (unscaled).
+    Each class in ``parts`` runs on the whole block, as no column depends on
+    another, and is kept on its own columns (``cols`` are H's batch
+    columns); ``logs`` is H's log table when already taken."""
+    U = None
+    for cls, mask in parts:
+        if cls == _ONE:
+            V = w[:, None] * np.sign(H)
+        elif cls == _INF:
+            k, j = np.abs(H).argmax(axis=0), np.arange(H.shape[1])
+            V = np.zeros_like(H)
+            V[k, j] = np.sign(H[k, j])
+        else:
+            L = _log_table(np.abs(H))[1] if logs is None else logs
+            V = w[:, None] * np.exp(L * (pa - 1.0)) * np.sign(H)
+        U = V if U is None else np.where(mask[cols], V, U)
     return U
 
 
-def _dual_source_pc(Z: np.ndarray, w: np.ndarray, qc: np.ndarray) -> np.ndarray:
-    """Columnwise maximizer of <z, g> over the weighted q-unit sphere."""
-    G = np.empty_like(Z)
-    one = qc == 1.0
-    if one.any():
-        cols = np.flatnonzero(one)
-        scores = np.abs(Z[:, cols]) / w[:, None]
-        idx = scores.argmax(axis=0)
-        block = np.zeros((Z.shape[0], cols.size))
-        s = np.sign(Z[idx, cols])
-        s[s == 0.0] = 1.0
-        block[idx, np.arange(cols.size)] = s / w[idx]
-        G[:, cols] = block
-    inf = np.isinf(qc)
-    if inf.any():
-        G[:, inf] = np.where(Z[:, inf] < 0.0, -1.0, 1.0)
-    rest = ~(one | inf)
-    if rest.any():
-        T = np.abs(Z[:, rest]) / w[:, None]
-        mx = T.max(axis=0)
-        mx = np.where(mx > 0.0, mx, 1.0)
-        with np.errstate(divide="ignore"):
-            logs = np.log(T / mx)
-        B = np.exp(logs * (1.0 / (qc[rest] - 1.0))[None, :]) * np.sign(Z[:, rest])
-        norms = _row_norms(B.T, w, qc[rest, None])[:, 0]
-        norms[norms == 0.0] = 1.0
-        G[:, rest] = B / norms
+def _dual_source(Z: np.ndarray, w: np.ndarray, qa: np.ndarray, parts: list,
+                 cols: np.ndarray) -> np.ndarray:
+    """Columnwise maximizer of <z, g> over the weighted q-unit sphere, class
+    by class as in ``_dual_target``."""
+    G = None
+    for cls, mask in parts:
+        if cls == _ONE:
+            k, j = (np.abs(Z) / w[:, None]).argmax(axis=0), np.arange(Z.shape[1])
+            s = np.sign(Z[k, j])
+            V = np.zeros_like(Z)
+            V[k, j] = np.where(s == 0.0, 1.0, s) / w[k]
+        elif cls == _INF:
+            V = np.where(Z < 0.0, -1.0, 1.0)
+        else:
+            logs = _log_table(np.abs(Z) / w[:, None])[1]
+            B = np.exp(logs * (1.0 / (qa - 1.0))) * np.sign(Z)
+            norms = _col_norms(B, w, qa, _FINITE)[0]
+            V = B / np.where(norms == 0.0, 1.0, norms)
+        G = V if G is None else np.where(mask[cols], V, G)
     return G
 
 
@@ -179,6 +206,12 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     below ``tol``, when it stops improving for three steps (dual-map
     two-cycles at the corner exponents), or when its pullback dies.
 
+    Each side's exponent class (1, INFINITY or finite) is fixed once per
+    batch.  A uniform side evaluates its class on the whole active block,
+    and the target norm and duality map share one ``log(|H|/M)`` table; a
+    mixed side uses class masks built once and the kernel's norms.  Values
+    and witnesses are those of per-column kernel calls, bit for bit.
+
     BLAS takes a product with a single column through gemv, which can round
     differently from the gemm of a wider batch.  ``twinned[c]`` marks a
     start that was drawn more than once (see ``_ascent_starts``): had its
@@ -190,48 +223,48 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
             return (M @ np.repeat(X, 2, axis=1))[:, :1]
         return M @ X
 
+    (q_parts, q_cls), (p_parts, p_cls) = _exponent_classes(qc), _exponent_classes(pc)
     n_cols = G.shape[1]
-    g0 = _row_norms(G.T, nu, qc[:, None])[:, 0]
-    G = G / np.where(g0 > 0.0, g0, 1.0)
     best = np.zeros(n_cols)
-    best_G = G.copy()
     prev = np.full(n_cols, -1.0)
     no_improve = np.zeros(n_cols, dtype=int)
     idx = np.arange(n_cols)
+    # log(0) = -inf; a mixed side's formulas also run on other classes' columns
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g0 = _col_norms(G, nu, qc, q_cls)[0]
+        G = G / np.where(g0 > 0.0, g0, 1.0)
+        best_G = G.copy()
+        for _ in range(int(max_iter)):
+            Ga = G[:, idx]
+            qa, pa = qc[idx], pc[idx]
+            H = product(E, Ga, idx)
+            gn = _col_norms(Ga, nu, qa, q_cls)[0]
+            hn, logs = _col_norms(H, mu, pa, p_cls)
+            ratio = hn / np.where(gn > 0.0, gn, INFINITY)  # 0 for a dead column
 
-    for _ in range(int(max_iter)):
-        Ga = G[:, idx]
-        qa, pa = qc[idx], pc[idx]
-        H = product(E, Ga, idx)
-        gn = _row_norms(Ga.T, nu, qa[:, None])[:, 0]
-        hn = _row_norms(H.T, mu, pa[:, None])[:, 0]
-        ok = gn > 0.0
-        ratio = np.zeros(idx.size)
-        ratio[ok] = hn[ok] / gn[ok]
+            improved = ratio > best[idx]
+            cols = idx[improved]
+            best_G[:, cols] = Ga[:, improved]
+            best[cols] = ratio[improved]
+            no_improve[idx] = np.where(improved, 0, no_improve[idx] + 1)
 
-        improved = ratio > best[idx]
-        cols = idx[improved]
-        best_G[:, cols] = Ga[:, improved]
-        best[cols] = ratio[improved]
-        no_improve[idx] = np.where(improved, 0, no_improve[idx] + 1)
-
-        stalled = np.abs(ratio - prev[idx]) <= tol * np.maximum(ratio, 1.0)
-        prev[idx] = ratio
-        keep = ~stalled & (no_improve[idx] < 3)
-        if not keep.any():
-            break
-
-        U = _dual_target_pc(H[:, keep], mu, pa[keep])
-        Z = product(E.T, U, idx[keep])
-        alive = np.abs(Z).max(axis=0) > 0.0
-        idx = idx[keep][alive]
-        if idx.size == 0:
-            break
-        G[:, idx] = _dual_source_pc(Z[:, alive], nu, qc[idx])
+            stalled = np.abs(ratio - prev[idx]) <= tol * np.maximum(ratio, 1.0)
+            prev[idx] = ratio
+            keep = ~stalled & (no_improve[idx] < 3)
+            if not keep.any():
+                break
+            logs = logs[:, keep] if p_cls == _FINITE else None
+            U = _dual_target(H[:, keep], logs, mu, pa[keep], p_parts, idx[keep])
+            Z = product(E.T, U, idx[keep])
+            alive = np.abs(Z).max(axis=0) > 0.0
+            idx = idx[keep][alive]
+            if idx.size == 0:
+                break
+            G[:, idx] = _dual_source(Z[:, alive], nu, qc[idx], q_parts, idx)
     return best, best_G
 
 
-def _ascent_starts(n: int, restarts: int, seed: int) -> tuple:
+def _ascent_starts(n: int, restarts: int, seed) -> tuple:
     """Distinct ascent starts, one per column, in first-occurrence order.
 
     The block is the constant vector, the basis vectors and ``restarts``
@@ -240,8 +273,12 @@ def _ascent_starts(n: int, restarts: int, seed: int) -> tuple:
     retrace its twin's ascent bit for bit, so dropping it changes no best
     value or witness and saves its work.  Returns the starts and, per
     start, whether it was drawn more than once (``_ascent_batch`` needs it
-    to round as the full block did).
+    to round as the full block did), both read-only.  An integer seed's
+    blocks come from a small cache; any other seed (``None``, a list, a
+    ``SeedSequence`` or a ``Generator``) may be random or unhashable.
     """
+    if isinstance(seed, (int, np.integer)):
+        return _cached_starts(n, restarts, seed)
     rng = np.random.default_rng(seed)
     # the draws of rng.choice([-1.0, 1.0], size) at half the cost
     signs = 2.0 * rng.integers(0, 2, size=(n, int(restarts))) - 1.0
@@ -253,7 +290,16 @@ def _ascent_starts(n: int, restarts: int, seed: int) -> tuple:
         key = raw[j * width:(j + 1) * width]
         if first.setdefault(key, j) != j:
             twins.add(key)
-    return G[:, list(first.values())], np.array([key in twins for key in first])
+    starts = G[:, list(first.values())], np.array([key in twins for key in first])
+    for block in starts:
+        block.flags.writeable = False
+    return starts
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_starts(n: int, restarts: int, seed: int) -> tuple:
+    """``default_rng(SeedSequence(seed))`` draws what ``default_rng(seed)`` does."""
+    return _ascent_starts(n, restarts, np.random.SeedSequence(seed))
 
 
 @dataclass(frozen=True)
@@ -275,7 +321,8 @@ def op_norm_lower(A: MatrixOperator, q: float, p: float, restarts: int = 32,
     ``_ascent_starts``).  Each start alternates a target-norm duality step,
     a transpose pullback, and a source-sphere projection until the ratio
     stagnates below ``tol``.  The best ratio ever seen (with its witness) is
-    returned, so the value never exceeds the true norm.
+    returned, so the value never exceeds the true norm.  One (q, p) pair
+    makes a class-uniform batch: a step evaluates one formula per side.
     """
     q = as_exponent(q)
     p = as_exponent(p)
@@ -798,7 +845,9 @@ def minimal_constant(A: MatrixOperator, sigma: float, p_grid: Sequence[float],
     ``samples`` seeded random sign vectors join the constant and basis
     starts of the inner ascent of every remaining (q, p) pair, and a start
     drawn twice runs once (see ``_ascent_starts``).  All pairs run as one
-    batched ascent with the same start block.  That matches per-pair
+    batched ascent with the same start block, class-uniform when the grid
+    collapses to a corner (every magic and random ensemble instance), with
+    class masks built once otherwise.  That matches per-pair
     ``op_norm_lower`` calls up to rounding: a lone column of a per-pair call
     goes through BLAS gemv, where the batch still uses gemm, so a value can
     differ in its last bits.  Ties resolve toward the lexicographically

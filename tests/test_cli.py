@@ -596,6 +596,21 @@ class TestErrorHandling:
                 err = capsys.readouterr().err
                 assert f"point count must be >= 1, got {count}" in err
 
+    def test_malformed_options_are_named(self, inputs, capsys):
+        A = ["--matrix", inputs["A"]]
+        mc = ["minimal-constant", *A, "--sigma", "3"]
+        cases = [(["opnorm", *A, "--q", "2", "--p", "2", "--seed", "-1"], "--seed"),
+                 (["opnorm", *A, "--q", "2", "--p", "2", "--oracle", "--seed", "-1"],
+                  "--seed"),
+                 ([*mc, "--p-interval", "4,8", "--q-interval", "1:2"], "--p-interval"),
+                 ([*mc, "--p-interval", "4:8", "--q-interval", "1:x"], "--q-interval"),
+                 (["check-super-exact", "--order", "3", "--pairs", "1:2,4,8"], "--pairs"),
+                 (["magic", "--order", "3", "--check-norms", "1:2:4"], "--check-norms")]
+        for argv, option in cases:
+            assert run([*argv, "--output", out_path(inputs, "x.json")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+
     def test_bad_exponent(self, inputs, capsys):
         assert run(["opnorm", "--matrix", inputs["A"], "--q", "0.5", "--p", "2",
                     "--output", out_path(inputs, "x.json")]) == 2

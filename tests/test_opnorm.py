@@ -11,6 +11,7 @@ from glsx import (INFINITY, GridFunction, MatrixOperator, MeasureSpace,
                   operator_from_spec, restrict, verify_theorem1)
 from glsx import opnorm
 from glsx.gls import exponent_grid
+from glsx.measure import _row_norms
 from glsx.opnorm import op_norm_oracle_table
 
 EXPONENTS = (1.0, 1.5, 2.0, 4.0, INFINITY)
@@ -176,6 +177,168 @@ class TestAscentStarts:
                 assert got.value == pytest.approx(want, rel=1e-14, abs=0.0)
                 assert per_pair[(got.argmax_p, got.argmax_q)] == \
                     pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def _masked_dual_target(H, w, pc):
+    """The ascent direction of the masked step (per-step class masks)."""
+    U = np.empty_like(H)
+    absh = np.abs(H)
+    one = pc == 1.0
+    if one.any():
+        U[:, one] = w[:, None] * np.sign(H[:, one])
+    inf = np.isinf(pc)
+    if inf.any():
+        cols = np.flatnonzero(inf)
+        block = np.zeros((H.shape[0], cols.size))
+        idx = absh[:, cols].argmax(axis=0)
+        block[idx, np.arange(cols.size)] = np.sign(H[idx, cols])
+        U[:, cols] = block
+    rest = ~(one | inf)
+    if rest.any():
+        Hr = absh[:, rest]
+        mx = Hr.max(axis=0)
+        mx = np.where(mx > 0.0, mx, 1.0)
+        with np.errstate(divide="ignore"):
+            logs = np.log(Hr / mx)
+        U[:, rest] = w[:, None] * np.exp(logs * (pc[rest] - 1.0)[None, :]) * np.sign(H[:, rest])
+    return U
+
+
+def _masked_dual_source(Z, w, qc):
+    """The source-sphere maximizer of the masked step."""
+    G = np.empty_like(Z)
+    one = qc == 1.0
+    if one.any():
+        cols = np.flatnonzero(one)
+        scores = np.abs(Z[:, cols]) / w[:, None]
+        idx = scores.argmax(axis=0)
+        block = np.zeros((Z.shape[0], cols.size))
+        s = np.sign(Z[idx, cols])
+        s[s == 0.0] = 1.0
+        block[idx, np.arange(cols.size)] = s / w[idx]
+        G[:, cols] = block
+    inf = np.isinf(qc)
+    if inf.any():
+        G[:, inf] = np.where(Z[:, inf] < 0.0, -1.0, 1.0)
+    rest = ~(one | inf)
+    if rest.any():
+        T = np.abs(Z[:, rest]) / w[:, None]
+        mx = T.max(axis=0)
+        mx = np.where(mx > 0.0, mx, 1.0)
+        with np.errstate(divide="ignore"):
+            logs = np.log(T / mx)
+        B = np.exp(logs * (1.0 / (qc[rest] - 1.0))[None, :]) * np.sign(Z[:, rest])
+        norms = _row_norms(B.T, w, qc[rest, None])[:, 0]
+        norms[norms == 0.0] = 1.0
+        G[:, rest] = B / norms
+    return G
+
+
+def _masked_ascent_batch(E, mu, nu, G, qc, pc, twinned, tol, max_iter):
+    """Reference ascent: class masks worked out at every step, three kernel
+    calls per step (source norm, target norm, projection norm)."""
+    def product(M, X, cols):
+        if cols.size == 1 and twinned[cols[0]]:
+            return (M @ np.repeat(X, 2, axis=1))[:, :1]
+        return M @ X
+
+    n_cols = G.shape[1]
+    g0 = _row_norms(G.T, nu, qc[:, None])[:, 0]
+    G = G / np.where(g0 > 0.0, g0, 1.0)
+    best = np.zeros(n_cols)
+    best_G = G.copy()
+    prev = np.full(n_cols, -1.0)
+    no_improve = np.zeros(n_cols, dtype=int)
+    idx = np.arange(n_cols)
+    for _ in range(int(max_iter)):
+        Ga = G[:, idx]
+        qa, pa = qc[idx], pc[idx]
+        H = product(E, Ga, idx)
+        gn = _row_norms(Ga.T, nu, qa[:, None])[:, 0]
+        hn = _row_norms(H.T, mu, pa[:, None])[:, 0]
+        ok = gn > 0.0
+        ratio = np.zeros(idx.size)
+        ratio[ok] = hn[ok] / gn[ok]
+        improved = ratio > best[idx]
+        cols = idx[improved]
+        best_G[:, cols] = Ga[:, improved]
+        best[cols] = ratio[improved]
+        no_improve[idx] = np.where(improved, 0, no_improve[idx] + 1)
+        stalled = np.abs(ratio - prev[idx]) <= tol * np.maximum(ratio, 1.0)
+        prev[idx] = ratio
+        keep = ~stalled & (no_improve[idx] < 3)
+        if not keep.any():
+            break
+        U = _masked_dual_target(H[:, keep], mu, pa[keep])
+        Z = product(E.T, U, idx[keep])
+        alive = np.abs(Z).max(axis=0) > 0.0
+        idx = idx[keep][alive]
+        if idx.size == 0:
+            break
+        G[:, idx] = _masked_dual_source(Z[:, alive], nu, qc[idx])
+    return best, best_G
+
+
+def _step_cases():
+    """(E, mu, nu, G, qc, pc, twinned) batches: every uniform (q, p) pair and
+    mixed batches, on counting and weighted measures, signed operators with
+    a zero column, a zero start column, and targets of 8 or more rows (the
+    wide-row layout of ``measure``)."""
+    rng = np.random.default_rng(53)
+    for m, n in ((1, 3), (2, 2), (3, 3), (4, 3), (8, 3), (9, 2), (12, 4), (3, 9)):
+        E = rng.uniform(-1.0, 1.0, (m, n))
+        E[:, -1] = 0.0
+        starts, twinned = opnorm._ascent_starts(n, 6, int(rng.integers(100)))
+        G = np.hstack([starts, np.zeros((n, 1))])
+        # every start twinned: a lone last column keeps its gemm route
+        for tw in (np.append(twinned, False), np.ones(G.shape[1], dtype=bool)):
+            for mu, nu in ((np.ones(m), np.ones(n)),
+                           (rng.uniform(0.2, 3.0, m), rng.uniform(0.2, 3.0, n))):
+                cols = G.shape[1]
+                for q, p in itertools.product(EXPONENTS, EXPONENTS):
+                    yield E, mu, nu, G, np.full(cols, q), np.full(cols, p), tw
+                for pairs in (((1.0, INFINITY), (2.0, 1.5), (INFINITY, 1.0), (4.0, 4.0)),
+                              ((1.0, 2.0), (1.5, 1.0)), ((INFINITY, 4.0), (2.0, INFINITY)),
+                              ((1.5, 2.0), (4.0, 1.5))):
+                    yield (E, mu, nu, np.tile(G, len(pairs)),
+                           np.repeat([q for q, _ in pairs], cols),
+                           np.repeat([p for _, p in pairs], cols), np.tile(tw, len(pairs)))
+
+
+class TestAscentStep:
+    def test_matches_masked_step_bit_for_bit(self):
+        count = 0
+        for E, mu, nu, G, qc, pc, tw in _step_cases():
+            got = opnorm._ascent_batch(E, mu, nu, G, qc, pc, tw, 1e-12, 200)
+            want = _masked_ascent_batch(E, mu, nu, G, qc, pc, tw, 1e-12, 200)
+            assert np.array_equal(got[0], want[0]), (E.shape, qc, pc)
+            assert np.array_equal(got[1], want[1]), (E.shape, qc, pc)
+            count += 1
+        assert count == 8 * 2 * 2 * (25 + 4)
+
+    def test_start_blocks_cached_for_integer_seeds(self):
+        blocks = opnorm._ascent_starts(3, 8, 11)
+        assert opnorm._ascent_starts(3, 8, np.int64(11)) is blocks
+        assert not any(block.flags.writeable for block in blocks)
+        with pytest.raises(ValueError):
+            blocks[0][0, 0] = 0.0
+
+    def test_other_seeds_run_uncached(self):
+        info = opnorm._cached_starts.cache_info()
+        fresh = [opnorm._ascent_starts(4, 32, None)[0] for _ in range(2)]
+        assert not np.array_equal(*fresh)  # 2**-128 chance of a tie
+        for seed in ([5, 6], np.random.SeedSequence(5), np.random.default_rng(5)):
+            G, twinned = opnorm._ascent_starts(3, 8, seed)
+            assert G.shape[1] == twinned.size and not G.flags.writeable
+        assert opnorm._cached_starts.cache_info() == info
+        assert np.array_equal(opnorm._ascent_starts(3, 8, np.random.SeedSequence(5))[0],
+                              opnorm._ascent_starts(3, 8, 5)[0])
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError):
+            opnorm._ascent_starts(2, 4, -1)
+        with pytest.raises(ValueError):
+            op_norm_lower(MatrixOperator.identity(2), 2.0, 2.0, seed=-1)
 
 
 class TestOracle:
