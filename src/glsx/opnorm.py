@@ -9,9 +9,15 @@ Norm estimation comes in two independent flavors:
   the target norm and duality map share one log table per product, and
   start blocks are cached per integer seed (see ``_ascent_batch``).
 * ``op_norm_oracle`` brute-forces the unit sphere of the source space with
-  a dense angular grid plus a coordinate-wise golden-section polish that
-  stops at brackets of sqrt(eps) radians.  It is restricted to small
-  sources and is the reference the ascent is checked against.
+  a dense angular grid, then polishes each pair's grid argmax with the same
+  ascent.  It is restricted to small sources and is the reference the
+  ascent is checked against: its start comes from the grid, not from the
+  ascent's start set, so agreement shows that those starts reach the
+  global basin.
+
+A product with one output row is summed term by term (``_term_products``),
+since numpy's vector path for it rounds according to the batch width;
+wider products use matmul.
 
 ``minimal_constant`` runs the same ascent over a grid of exponent pairs; it
 is the constant of the extrapolation inequality.  Where the nesting of Lp
@@ -33,8 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .genfun import ExponentInterval, GeneratingFunction
-from .gls import (_INVPHI, _INVPHI2, _TINY, PGrid, exponent_grid,
-                  grid_from_points)
+from .gls import _TINY, PGrid, exponent_grid, grid_from_points
 from .measure import (INFINITY, GridFunction, MeasureSpace, _row_norms,
                       _spec_matrix, _spec_numbers, as_exponent, is_infinite)
 
@@ -196,11 +201,22 @@ def _dual_source(Z: np.ndarray, w: np.ndarray, qa: np.ndarray, parts: list,
     return G
 
 
+def _term_products(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``M @ X`` summed term by term in source order, so that the bits of a
+    column do not depend on which other columns share the call."""
+    out = M[:, :1] * X[:1]
+    for j in range(1, M.shape[1]):
+        out += M[:, j:j + 1] * X[j:j + 1]
+    return out
+
+
 def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
                   G: np.ndarray, qc: np.ndarray, pc: np.ndarray,
                   twinned: np.ndarray, tol: float, max_iter: int) -> tuple:
     """Duality-map ascent over many columns at once; column c maximizes the
-    qc[c] -> pc[c] ratio.  Returns (best ratios, best witnesses).
+    qc[c] -> pc[c] ratio.  Returns (best ratios, best witnesses).  It is
+    the one ascent of ``op_norm_lower``, ``minimal_constant`` and the
+    oracle's polish.
 
     Columns run independently; a column retires when its ratio stagnates
     below ``tol``, when it stops improving for three steps (dual-map
@@ -217,8 +233,13 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     start that was drawn more than once (see ``_ascent_starts``): had its
     repeats run, it would never have been alone, so when it is the last
     active column its products still go through gemm, as one of two copies.
+    numpy sends a product with one output row down a vector path whose bits
+    depend on the batch width, so those are summed term by term
+    (``_term_products``); products of two or more rows stay on matmul.
     """
     def product(M: np.ndarray, X: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        if M.shape[0] == 1:
+            return _term_products(M, X)
         if cols.size == 1 and twinned[cols[0]]:
             return (M @ np.repeat(X, 2, axis=1))[:, :1]
         return M @ X
@@ -354,20 +375,6 @@ def _angles_to_directions(angles: np.ndarray) -> np.ndarray:
     return G
 
 
-def _angles_from_direction(g: np.ndarray) -> np.ndarray:
-    """Inverse of the spherical map for a nonnegative unit direction."""
-    n = g.size
-    theta = np.zeros(n - 1)
-    tail = 1.0
-    for i in range(n - 1):
-        if tail <= 0.0:
-            break
-        c = min(1.0, max(0.0, g[i] / tail))
-        theta[i] = math.acos(c)
-        tail *= math.sin(theta[i])
-    return theta
-
-
 _DIRECTION_CACHE: dict = {}
 _QNORM_CACHE: dict = {}
 
@@ -452,18 +459,18 @@ def _oracle_blocks(n: int, resolution: int) -> tuple:
     return reps.ravel(), np.sqrt(radius2.ravel()), lengths
 
 
-def _grid_survivors(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
-                    H: np.ndarray, p_vals: np.ndarray, qn: list,
+def _grid_survivors(Es: np.ndarray, base: np.ndarray, mu: np.ndarray,
+                    nu: np.ndarray, p_vals: np.ndarray, qn: list,
                     best: np.ndarray, resolution: int,
                     step: float) -> Optional[np.ndarray]:
     """Ascending grid indices of the blocks that could hold the grid argmax
-    of some (q, p) pair for the sign pattern with products ``H = Es @ base``;
-    ``None`` when every block could.
+    of some (q, p) pair for the sign pattern applied in ``Es``; ``None``
+    when every block could.
 
     Per block b with representative direction ``g_b`` and radius ``r_b``,
     Minkowski and Cauchy-Schwarz bound every point k of the block by
     ``|Es g_k|_p <= |Es g_b|_p + r_b * L_p`` with
-    ``L_p = sqrt(sum_j |E e_j|_p**2)``: the spherical map is 1-Lipschitz
+    ``L_p = sqrt(sum_j |Es e_j|_p**2)``: the spherical map is 1-Lipschitz
     from angles to R^n, so ``|g_k - g_b|_2 <= r_b``.  With ``r_b`` widened
     by ``_RADIUS_PAD``, divided by the block's smallest q-norm and widened
     by ``_BLOCK_SLACK``, this bounds the computed ratio.
@@ -472,15 +479,18 @@ def _grid_survivors(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     then neither beat nor tie the grid argmax of this pattern, nor ``best``.
     The slack is relative, so every block survives (``T = -inf``) unless
     every weight is at least ``tiny * (mass + size)`` and every
-    representative norm and ``L_p`` is a finite normal float.  The pruned
-    pass therefore gives the values of the full grid pass, bit for bit,
-    while it evaluates about a tenth to a fifth of the columns on random
-    3x3 operators, and all of them when a pair's ratio is flat (Lo Shu's
-    1 -> 1 norm).  The directions and products still span the whole grid.
+    representative norm and ``L_p`` is a finite normal float.  Products
+    ``Es @ g`` are formed only for the representatives here, and by the
+    caller only for the surviving columns, with ``_term_products``: a
+    column's bits do not depend on which columns share the call, so the
+    pruned pass gives the values of the full grid pass, bit for bit.  It
+    evaluates about a tenth to a fifth of the columns on random 3x3
+    operators, and all of them when a pair's ratio is flat (Lo Shu's
+    1 -> 1 norm).
     """
-    reps, radius, lengths = _oracle_blocks(E.shape[1], resolution)
-    rep_pn = _row_norms(np.take(H, reps, axis=1).T, mu, p_vals)  # (blocks, P)
-    lip = np.sqrt((_row_norms(E.T, mu, p_vals) ** 2).sum(axis=0))
+    reps, radius, lengths = _oracle_blocks(Es.shape[1], resolution)
+    rep_pn = _row_norms(_term_products(Es, base[:, reps]).T, mu, p_vals)  # (blocks, P)
+    lip = np.sqrt((_row_norms(Es.T, mu, p_vals) ** 2).sum(axis=0))
     if not (all(w.min() >= (w.sum() + w.size) * _TINY for w in (mu, nu))
             and all(np.all((x >= _TINY) & (x <= _HUGE)) for x in (rep_pn, lip))):
         return None  # NaN fails both comparisons
@@ -494,106 +504,10 @@ def _grid_survivors(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
         keep |= ~(top / qmin_i < T[:, None]).all(axis=0)  # NaN never skips
     if keep.all():
         return None
-    mask = keep.reshape((lengths.size,) * (E.shape[1] - 1))
+    mask = keep.reshape((lengths.size,) * (Es.shape[1] - 1))
     for axis in range(mask.ndim):
         mask = np.repeat(mask, lengths, axis=axis)
     return np.flatnonzero(mask)
-
-
-#: bracket width (radians) at which a polish lane stops.  Near a maximum the
-#: ratio is quadratic in the angle, so across a bracket of width sqrt(eps)
-#: it changes by about eps relative: rounding noise, no further gain
-_POLISH_TOL = math.sqrt(np.finfo(float).eps)
-
-
-def _oracle_polish(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
-                   signs: np.ndarray, theta: np.ndarray, qc: np.ndarray,
-                   pc: np.ndarray, best: np.ndarray, step: float) -> np.ndarray:
-    """Coordinate-wise golden-section polish of many directions in lockstep.
-
-    Row ``i`` is one search: the angles ``theta[i]`` of a direction with
-    sign pattern ``signs[i]``, maximizing the ``qc[i] -> pc[i]`` ratio from
-    the incumbent value ``best[i]``.  A round searches every angle within
-    one grid ``step`` (clipped to [0, pi/2]) by golden section with the
-    incumbent rule of ``gls._golden_max``: a point wins when its value is
-    strictly larger or equal at a smaller angle, and the angle moves only
-    on a strict improvement.  A search makes 2 evaluations plus the golden
-    steps that shrink an unclipped bracket, ``2 * step`` wide, below
-    ``_POLISH_TOL`` (27 at resolution 720, 29 at 240); the lanes run in
-    lockstep, so a clipped, narrower bracket only finishes early.  There
-    are 3 rounds, or 1 for a single angle.  Its incumbent, the grid argmax
-    or a classical candidate that beat it, is at least every grid point of
-    its sign pattern, and its bracket holds a grid point on each side (or
-    ends at 0 or pi/2), so the bracket holds a local maximum; a second
-    search from the first one's maximizer gains nothing beyond the
-    tolerance.  The polish stops after a round that moved no row, since
-    rows are independent and the next round would repeat it bit for bit.
-    The rows step as numpy arrays, where ``gls._golden_max`` steps its one
-    or two brackets as Python floats; each form is the faster one at its
-    lane count.  Every step evaluates all rows with one batched product
-    and one kernel call for the source and target norms together (two
-    when the two measures differ).  Returns the polished values.
-    """
-    Es = E[None, :, :] * signs[:, None, :]
-    rows = qc.size
-    shared = mu.shape == nu.shape and np.array_equal(mu, nu)
-    exps = np.concatenate([qc, pc])[:, None]
-
-    def ratios(angles: np.ndarray) -> np.ndarray:
-        G = _angles_to_directions(angles.T).T.copy()
-        H = (Es @ G[:, :, None])[:, :, 0]
-        if shared:
-            norms = _row_norms(np.concatenate([G, H]), nu, exps)[:, 0]
-            return norms[rows:] / norms[:rows]
-        return (_row_norms(H, mu, exps[rows:])[:, 0]
-                / _row_norms(G, nu, exps[:rows])[:, 0])
-
-    # the widest bracket any row can have, so the count, and a row's value,
-    # does not depend on which rows share the call
-    width = min(2.0 * step, math.pi / 2.0)
-    steps = max(0, math.ceil(math.log(_POLISH_TOL / width) / math.log(_INVPHI)))
-    theta = theta.copy()
-    for _ in range(1 if theta.shape[1] == 1 else 3):
-        moved = False
-        for axis in range(theta.shape[1]):
-            trial = theta.copy()
-
-            def at(x: np.ndarray) -> np.ndarray:
-                trial[:, axis] = x
-                return ratios(trial)
-
-            # step > 0, so every bracket is a proper interval
-            lo = np.maximum(theta[:, axis] - step, 0.0)
-            hi = np.minimum(theta[:, axis] + step, math.pi / 2.0)
-            x1 = lo + _INVPHI2 * (hi - lo)
-            x2 = lo + _INVPHI * (hi - lo)
-            f1, f2 = at(x1), at(x2)
-            val, arg = _golden_take(best, theta[:, axis], x1, f1)
-            val, arg = _golden_take(val, arg, x2, f2)
-            for _ in range(steps):
-                left = f1 >= f2
-                hi = np.where(left, x2, hi)
-                lo = np.where(left, lo, x1)
-                x = lo + np.where(left, _INVPHI2, _INVPHI) * (hi - lo)
-                v = at(x)
-                x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
-                f1, f2 = np.where(left, v, f2), np.where(left, f1, v)
-                val, arg = _golden_take(val, arg, x, v)
-            up = val > best
-            theta[up, axis] = arg[up]
-            best = val
-            moved = moved or bool(up.any())
-        if not moved:
-            break
-    return best
-
-
-def _golden_take(val: np.ndarray, arg: np.ndarray, x: np.ndarray,
-                 v: np.ndarray) -> tuple:
-    """Rowwise incumbent update: ``v`` at ``x`` wins when strictly larger,
-    or equal at a smaller angle."""
-    win = np.where(v == val, x < arg, v > val)
-    return np.where(win, v, val), np.where(win, x, arg)
 
 
 def op_norm_oracle_table(A: MatrixOperator, qs: Sequence[float],
@@ -602,17 +516,22 @@ def op_norm_oracle_table(A: MatrixOperator, qs: Sequence[float],
     """Brute-force q->p operator norms for every (q, p) pair at once.
 
     All pairs share the direction grid, its cached q-norms and the matrix
-    products.  Per sign pattern, the grid pass runs the kernel only on the
-    blocks of columns that could hold some pair's grid argmax (see
-    ``_grid_survivors``).  One kernel call per chunk of those columns
-    evaluates every distinct p, so ``log|Ag|`` is taken once and only
-    ``exp`` repeats per exponent.  The best grid or classical candidate
-    direction of each pair is then refined by one golden-section polish
-    that runs every pair in lockstep as array operations, stops each search
-    at a bracket of sqrt(eps) radians and each pair after 3 rounds (1 for
-    a source of size 2) or a round that moved nothing (see
-    ``_oracle_polish``); a pair's value does not depend on which other
-    pairs share the call.  Returns a dict keyed by (q, p).
+    products.  Per sign pattern, the grid pass forms products and runs the
+    kernel only on the blocks of columns that could hold some pair's grid
+    argmax (see ``_grid_survivors``).  One kernel call per chunk of those
+    columns evaluates every distinct p, so ``log|Ag|`` is taken once and
+    only ``exp`` repeats per exponent.  The polish is one duality ascent
+    (``_ascent_batch``, ``tol`` 1e-15, at most 500 steps) over every pair,
+    each started from its best grid or classical candidate direction with
+    its sign pattern applied; a pair keeps the larger of its grid and ascent
+    values.  Every start is marked twinned, so no product goes through
+    gemv, and one-row products are summed term by term: on targets of fewer
+    than 8 points a pair's value does not depend on which other pairs share
+    the call.  On 8 or more, the kernel's row sums (pairwise for one column,
+    in order for several) and BLAS can move it in the last bit.  The start
+    is the grid argmax, not one of the ascent's own starts
+    (``op_norm_lower``), so agreement of the two tests whether those
+    standard starts reach the global basin.  Returns a dict keyed by (q, p).
     """
     qs = [as_exponent(qv) for qv in qs]
     ps = [as_exponent(p) for p in ps]
@@ -644,31 +563,24 @@ def op_norm_oracle_table(A: MatrixOperator, qs: Sequence[float],
     # basis direction (cube corners and spikes of the source unit balls)
     extra = np.hstack([np.ones((n_y, 1)) / math.sqrt(n_y), np.eye(n_y)])
     extra_qn = _row_norms(extra.T, nu, np.array(q_vals))
-    extra_theta = np.array([_angles_from_direction(g) for g in extra.T])
 
-    # best value, angles and sign pattern per (q, p) over all patterns
+    # best value, direction and sign pattern per (q, p) over all patterns
     shape = (len(q_vals), p_vals.size)
     cols = np.arange(p_vals.size)
     best = np.full(shape, -1.0)
-    theta = np.zeros(shape + (n_y - 1,))
+    start = np.zeros(shape + (n_y,))
     sign_of = np.zeros(shape, dtype=int)
     step = math.pi / 2.0 / (res - 1) if n_y > 1 else 0.0
     chunk = max(1, _GRID_CHUNK // (p_vals.size * E.shape[0]))
     for s, sign in enumerate(patterns):
         Es = E * sign[None, :]
-        H = Es @ base
         grid_best = np.full(shape, -1.0)
         grid_arg = np.zeros(shape, dtype=int)
-        sel = _grid_survivors(E, mu, nu, H, p_vals, qn, best, res, step)
-        # survivors run in ascending grid index, so first-index ties hold;
-        # np.take keeps the column layout (and the kernel's bits) of a slice
-        for lo in range(0, H.shape[1] if sel is None else sel.size, chunk):
-            if sel is None:
-                at = slice(lo, lo + chunk)
-                pn = _row_norms(H[:, at].T, mu, p_vals).T
-            else:
-                at = sel[lo:lo + chunk]
-                pn = _row_norms(np.take(H, at, axis=1).T, mu, p_vals).T
+        sel = _grid_survivors(Es, base, mu, nu, p_vals, qn, best, res, step)
+        # survivors run in ascending grid index, so first-index ties hold
+        for lo in range(0, base.shape[1] if sel is None else sel.size, chunk):
+            at = slice(lo, lo + chunk) if sel is None else sel[lo:lo + chunk]
+            pn = _row_norms(_term_products(Es, base[:, at]).T, mu, p_vals).T
             vals = np.empty(pn.shape)  # row-major, so argmax runs along rows
             for i, (qn_i, _) in enumerate(qn):
                 np.divide(pn, qn_i[at], out=vals)
@@ -679,25 +591,24 @@ def op_norm_oracle_table(A: MatrixOperator, qs: Sequence[float],
                 grid_arg[i, up] = lo + k[up] if sel is None else at[k[up]]
         up = grid_best > best
         best[up] = grid_best[up]
+        start[up] = base[:, grid_arg[up]].T
         sign_of[up] = s
-        if n_y > 1:
-            idx = np.unravel_index(grid_arg[up], (res,) * (n_y - 1))
-            theta[up] = np.stack(idx, axis=-1) * step
         evals = (_row_norms((Es @ extra).T, mu, p_vals)[:, None, :]
                  / extra_qn[:, :, None])
         k = evals.argmax(axis=0)
         v = np.take_along_axis(evals, k[None], axis=0)[0]
         up = v > best
         best[up] = v[up]
-        theta[up] = extra_theta[k[up]]
+        start[up] = extra[:, k[up]].T
         sign_of[up] = s
 
     values = best.ravel()
     if polish and n_y > 1:
-        values = _oracle_polish(E, mu, nu, patterns[sign_of.ravel()],
-                                theta.reshape(-1, n_y - 1),
-                                np.repeat(q_vals, p_vals.size),
-                                np.tile(p_vals, len(q_vals)), values, step)
+        G = (start * patterns[sign_of]).reshape(-1, n_y).T
+        polished, _ = _ascent_batch(E, mu, nu, G, np.repeat(q_vals, p_vals.size),
+                                    np.tile(p_vals, len(q_vals)),
+                                    np.ones(values.size, dtype=bool), 1e-15, 500)
+        values = np.maximum(values, polished)
     table = dict(zip(itertools.product(q_vals, p_vals.tolist()), values.tolist()))
     return {(qv, p): table[(qv, p)] for qv in qs for p in ps}
 
@@ -709,11 +620,12 @@ def op_norm_oracle(A: MatrixOperator, q: float, p: float, resolution: int = 720,
     Nonnegative matrices are searched on the nonnegative orthant only
     (valid because ``|Ag| <= A|g|`` entrywise); otherwise every sign
     pattern of the source coordinates is combined with the nonnegative
-    grid.  A coordinate-wise golden-section polish refines the best grid
-    direction.  This is the one-pair case of ``op_norm_oracle_table``, whose
-    shared-log grid pass and lockstep polish give the same value for a pair
-    whichever pairs share the call, so several pairs of one operator are
-    cheaper as one table.  The grid holds ``resolution**(n-1)`` directions,
+    grid.  A duality ascent from the best grid or classical direction
+    polishes the value.  This is the one-pair case of
+    ``op_norm_oracle_table``, whose shared-log grid pass and batched polish
+    give the same value for a pair whichever pairs share the call (targets
+    of fewer than 8 points), so several pairs of one operator are cheaper
+    as one table.  The grid holds ``resolution**(n-1)`` directions,
     of which the pass evaluates those that a block bound cannot skip (see
     ``_grid_survivors``).  Sources larger than 4 are rejected unless
     ``allow_large`` is set.

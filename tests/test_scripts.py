@@ -1,5 +1,5 @@
 """Each experiment script runs to completion on tiny arguments and writes a
-CSV with a header and rows."""
+CSV with a header and rows; the gate sweep runs a tiny pass range."""
 import csv
 import os
 import subprocess
@@ -36,8 +36,16 @@ def test_convention_table_is_the_cli_table(tmp_path):
     assert script_out.read_bytes() == cli_out.read_bytes()
 
 
+def test_gate_sweep_counts_items(tmp_path):
+    """Two tails passes (30 items each) at two seeds, every gate met."""
+    proc = _run_script(tmp_path, "gate_sweep.py",
+                       ["--workload", "tails", "--seeds", "3,7", "--passes", "0-1"])
+    assert proc.stdout.splitlines() == ["tails: 120 items at seeds 3,7, passes 0-1: 0 failed"]
+
+
 def _run_script(cwd, script, args):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args], cwd=cwd,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc
