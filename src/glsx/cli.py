@@ -178,7 +178,8 @@ def _cmd_opnorm(args) -> int:
         result = {"value": value, "method": "oracle", "q": q, "p": p}
     else:
         res = op_norm_lower(A, q, p, restarts=args.restarts, seed=args.seed)
-        result = {"value": res.value, "method": "ascent", "q": q, "p": p,
+        result = {"value": res.value, "method": "closed-form" if res.exact else "ascent",
+                  "q": q, "p": p,
                   "witness": [float(x) for x in res.witness.values]}
     report = {"config": _config_dict(args, matrix=args.matrix, oracle=args.oracle,
                                      restarts=args.restarts, resolution=args.resolution),

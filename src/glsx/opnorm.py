@@ -2,9 +2,16 @@
 
 Norm estimation comes in two independent flavors:
 
-* ``op_norm_lower`` runs an alternating duality-map ascent (a nonlinear
-  power iteration) from many starts.  Every iterate is a feasible ratio, so
-  the best ratio seen is a certified LOWER bound of the true operator norm.
+* ``op_norm_lower`` is exact at the corner pairs q = 1, p = INFINITY,
+  q = INFINITY, p = 1 and 2 -> 2, where a closed form puts the norm in a
+  small witness block: the basis vectors, the duality maps of the rows, the
+  source sign vectors, the duality maps of ``A^T mu s`` over the target
+  sign vectors s, or the top singular vector.  A signed operator with more
+  than 4,096 sign vectors on the side a sign form needs runs the ascent
+  there.  Elsewhere it runs an alternating duality-map ascent (a nonlinear
+  power iteration) from many starts; a signed operator adds the pullbacks
+  of its target sign and basis vectors.  Every value is a computed ratio,
+  so the result is a certified LOWER bound of the true operator norm.
   Each side's exponent class (1, INFINITY or finite) is fixed per batch,
   the target norm and duality map share one log table per product, and
   start blocks are cached per integer seed (see ``_ascent_batch``).
@@ -13,7 +20,7 @@ Norm estimation comes in two independent flavors:
   ascent.  It is restricted to small sources and is the reference the
   ascent is checked against: its start comes from the grid, not from the
   ascent's start set, so agreement shows that those starts reach the
-  global basin.
+  global basin, and at the corner pairs that the closed forms hold.
 
 A product with one output row is summed term by term (``_term_products``),
 since numpy's vector path for it rounds according to the batch width;
@@ -201,6 +208,15 @@ def _dual_source(Z: np.ndarray, w: np.ndarray, qa: np.ndarray, parts: list,
     return G
 
 
+def _ratios(H: np.ndarray, G: np.ndarray, mu: np.ndarray, nu: np.ndarray,
+            qa: np.ndarray, pa: np.ndarray, q_cls, p_cls) -> tuple:
+    """Columnwise ratios ``|H|_p / |G|_q`` of products ``H = A G`` (0 for a
+    zero column of G), and H's log table at a finite class ``p_cls``."""
+    gn = _col_norms(G, nu, qa, q_cls)[0]
+    hn, logs = _col_norms(H, mu, pa, p_cls)
+    return hn / np.where(gn > 0.0, gn, INFINITY), logs
+
+
 def _term_products(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     """``M @ X`` summed term by term in source order, so that the bits of a
     column do not depend on which other columns share the call."""
@@ -259,9 +275,7 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
             Ga = G[:, idx]
             qa, pa = qc[idx], pc[idx]
             H = product(E, Ga, idx)
-            gn = _col_norms(Ga, nu, qa, q_cls)[0]
-            hn, logs = _col_norms(H, mu, pa, p_cls)
-            ratio = hn / np.where(gn > 0.0, gn, INFINITY)  # 0 for a dead column
+            ratio, logs = _ratios(H, Ga, mu, nu, qa, pa, q_cls, p_cls)
 
             improved = ratio > best[idx]
             cols = idx[improved]
@@ -323,11 +337,67 @@ def _cached_starts(n: int, restarts: int, seed: int) -> tuple:
     return _ascent_starts(n, restarts, np.random.SeedSequence(seed))
 
 
+#: most sign vectors a corner witness block or the pullback starts enumerate
+#: (2**(n-1) at n = 13).  The INFINITY -> 1 norm is NP-hard in general
+#: (Rohn 2000), so a larger signed operator runs the ascent there
+_SIGN_CAP = 4096
+
+
+@functools.lru_cache(maxsize=16)
+def _sign_vectors(n: int) -> np.ndarray:
+    """The 2**(n-1) sign vectors of length n whose first entry is 1, as
+    read-only columns in ``itertools.product`` order (s and -s give the
+    same ratio)."""
+    S = np.array([s for s in itertools.product((1.0, -1.0), repeat=n)
+                  if s[0] == 1.0]).T
+    S.flags.writeable = False
+    return S
+
+
+def _pullback_starts(A: MatrixOperator) -> np.ndarray:
+    """Nonzero pullbacks ``A^T mu y`` of the 2**(m-1) target sign vectors
+    (up to ``_SIGN_CAP`` of them) and of the m target basis vectors y."""
+    m = A.target.size
+    Y = np.eye(m) if 2 ** (m - 1) > _SIGN_CAP else np.hstack([_sign_vectors(m), np.eye(m)])
+    P = A.entries.T @ (A.target.weights[:, None] * Y)
+    return P[:, np.abs(P).max(axis=0) > 0.0]
+
+
+def _corner_witnesses(A: MatrixOperator, q: float, p: float) -> Optional[np.ndarray]:
+    """Columns among which the q -> p ratio of a nonzero ``A`` attains the
+    norm, when a closed form says so (see ``op_norm_lower``); else ``None``."""
+    E, mu, nu = A.entries, A.target.weights, A.source.weights
+    (m, n), signed = E.shape, not A.is_nonnegative()
+
+    def dual(Z: np.ndarray) -> np.ndarray:  # maximizers of <z, g> on the q-sphere
+        qa = np.full(Z.shape[1], q)
+        with np.errstate(divide="ignore"):  # log(0) = -inf
+            return _dual_source(Z, nu, qa, _exponent_classes(qa)[0], np.arange(qa.size))
+
+    if q == 1.0:
+        return np.diag(1.0 / nu)
+    if is_infinite(p):
+        return dual(E.T)
+    if q == 2.0 and p == 2.0:
+        B = np.sqrt(mu)[:, None] * E / np.sqrt(nu)
+        v = np.linalg.svd(B, full_matrices=False)[2][0]
+        return (v / np.sqrt(nu))[:, None]
+    if is_infinite(q) and (not signed or 2 ** (n - 1) <= _SIGN_CAP):
+        return _sign_vectors(n) if signed else np.ones((n, 1))
+    if p == 1.0 and (not signed or 2 ** (m - 1) <= _SIGN_CAP):
+        S = _sign_vectors(m) if signed else np.ones((m, 1))
+        return dual(E.T @ (mu[:, None] * S))
+    return None
+
+
 @dataclass(frozen=True)
 class AscentResult:
+    """``exact`` marks a closed-form corner value: the norm up to rounding."""
+
     value: float
     witness: GridFunction
     zero_matrix: bool = False
+    exact: bool = False
 
     def __float__(self) -> float:
         return self.value
@@ -335,14 +405,34 @@ class AscentResult:
 
 def op_norm_lower(A: MatrixOperator, q: float, p: float, restarts: int = 32,
                   seed: int = 0, tol: float = 1e-12, max_iter: int = 200) -> AscentResult:
-    """Certified lower bound on the q->p operator norm by duality ascent.
+    """Certified lower bound on the q->p operator norm: a closed form at the
+    corner pairs, duality ascent elsewhere.
 
-    Starts from the constant vector, every basis vector, and ``restarts``
-    seeded random sign vectors; a start drawn twice runs once (see
-    ``_ascent_starts``).  Each start alternates a target-norm duality step,
-    a transpose pullback, and a source-sphere projection until the ratio
-    stagnates below ``tol``.  The best ratio ever seen (with its witness) is
-    returned, so the value never exceeds the true norm.  One (q, p) pair
+    The value is always the computed ratio at the returned witness, so it
+    never exceeds the true norm.  At a corner pair the norm is attained
+    within a small witness block (Higham 2002, ch. 6), and the result is
+    marked ``exact``:
+
+    * q = 1: the basis vectors (the largest weighted column norm);
+    * p = INFINITY: the duality maps of the rows (the largest dual row norm);
+    * q = 2 = p: the top right singular vector of
+      ``diag(sqrt(mu)) A diag(1/sqrt(nu))``;
+    * q = INFINITY: the 2**(n-1) source sign vectors (a convex function
+      peaks at a vertex of the cube), or the constant vector when A >= 0;
+    * p = 1: the duality maps of ``A^T mu s`` over the 2**(m-1) target sign
+      vectors s, or s = 1 alone when A >= 0.
+
+    The sign-vector forms apply to signed operators only up to ``_SIGN_CAP``
+    (4,096) sign vectors; above it those pairs run the ascent.
+
+    The ascent starts from the constant vector, every basis vector, and
+    ``restarts`` seeded random sign vectors; a start drawn twice runs once
+    (see ``_ascent_starts``).  A signed operator adds the pullback starts
+    ``A^T mu y`` of the target sign and basis vectors y
+    (``_pullback_starts``), which reach basins the others can miss.  Each
+    start alternates a target-norm duality step, a transpose pullback, and
+    a source-sphere projection until the ratio stagnates below ``tol``.  The
+    best ratio ever seen (with its witness) is returned.  One (q, p) pair
     makes a class-uniform batch: a step evaluates one formula per side.
     """
     q = as_exponent(q)
@@ -350,12 +440,24 @@ def op_norm_lower(A: MatrixOperator, q: float, p: float, restarts: int = 32,
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     n_y = A.source.size
+    G, twinned = _ascent_starts(n_y, restarts, seed)  # validates the seed
     if not A.entries.any():
         return AscentResult(0.0, GridFunction(A.source, np.zeros(n_y)), True)
-    G, twinned = _ascent_starts(n_y, restarts, seed)
+    E, mu, nu = A.entries, A.target.weights, A.source.weights
+    W = _corner_witnesses(A, q, p)
+    if W is not None:
+        qa, pa = np.full(W.shape[1], q), np.full(W.shape[1], p)
+        with np.errstate(divide="ignore", invalid="ignore"):  # log(0) = -inf
+            ratio = _ratios(E @ W, W, mu, nu, qa, pa, _exponent_classes(qa)[1],
+                            _exponent_classes(pa)[1])[0]
+        k = int(np.argmax(ratio))
+        return AscentResult(float(ratio[k]), GridFunction(A.source, W[:, k].copy()),
+                            exact=True)
+    if not A.is_nonnegative():
+        P = _pullback_starts(A)
+        G, twinned = np.hstack([G, P]), np.append(twinned, np.zeros(P.shape[1], dtype=bool))
     n_cols = G.shape[1]
-    best, best_G = _ascent_batch(A.entries, A.target.weights, A.source.weights,
-                                 G, np.full(n_cols, q), np.full(n_cols, p),
+    best, best_G = _ascent_batch(E, mu, nu, G, np.full(n_cols, q), np.full(n_cols, p),
                                  twinned, tol, max_iter)
     k = int(np.argmax(best))
     return AscentResult(float(best[k]), GridFunction(A.source, best_G[:, k].copy()))
@@ -556,8 +658,7 @@ def op_norm_oracle_table(A: MatrixOperator, qs: Sequence[float],
     if A.is_nonnegative():
         patterns = np.ones((1, n_y))
     else:
-        patterns = np.array([s for s in itertools.product((1.0, -1.0), repeat=n_y)
-                             if s[0] == 1.0])  # g and -g give the same ratio
+        patterns = _sign_vectors(n_y).T
 
     # classical extremizer candidates: the constant direction and every
     # basis direction (cube corners and spikes of the source unit balls)

@@ -195,12 +195,16 @@ class TestBasicCommands:
         assert code == 0
         oracle = json.loads(capsys.readouterr().out)
         assert ascent["value"] == pytest.approx(oracle["value"], rel=1e-4)
+        assert (ascent["method"], oracle["method"]) == ("ascent", "oracle")
 
     def test_opnorm_inf_exponent(self, inputs, capsys):
+        # a corner pair: the largest entry, by closed form
         code = run(["opnorm", "--matrix", inputs["A"], "--q", "1", "--p", "inf",
                     "--output", out_path(inputs, "o3.json")])
         assert code == 0
-        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(9.0)
+        result = json.loads(capsys.readouterr().out)
+        assert result["value"] == pytest.approx(9.0)
+        assert result["method"] == "closed-form"
 
     def test_minimal_constant(self, inputs, capsys):
         code = run(["minimal-constant", "--matrix", inputs["A"], "--sigma", "3",

@@ -6,7 +6,7 @@ import pytest
 
 from glsx import (INFINITY, GridFunction, MatrixOperator, MeasureSpace,
                   OperatorBoundCertificate, apply, check_sigma_condition,
-                  make_boundary, make_power, minimal_constant, op_norm_lower,
+                  lp_norm, make_boundary, make_power, minimal_constant, op_norm_lower,
                   op_norm_oracle, operator_from_spec, restrict, verify_theorem1)
 from glsx import opnorm
 from glsx.gls import exponent_grid
@@ -75,11 +75,24 @@ class TestAscent:
         assert np.array_equal(a.witness.values, b.witness.values)
 
 
-def _full_start_block(n, restarts, seed):
-    """Every start the ascent is seeded with, repeats included."""
+def _full_start_block(n, restarts, seed, A=None):
+    """Every start the ascent is seeded with, repeats included; a signed
+    operator ``A`` adds the nonzero pullbacks ``A^T mu y`` of its target
+    sign vectors (first entry 1) and target basis vectors y."""
     rng = np.random.default_rng(seed)
     signs = rng.choice([-1.0, 1.0], size=(n, restarts))
-    return np.hstack([np.ones((n, 1)), np.eye(n), signs])
+    G = np.hstack([np.ones((n, 1)), np.eye(n), signs])
+    if A is None or A.is_nonnegative():
+        return G
+    m = A.target.size
+    Y = np.array([s for s in itertools.product((1.0, -1.0), repeat=m) if s[0] == 1.0]
+                 + np.eye(m).tolist()).T
+    P = A.entries.T @ (A.target.weights[:, None] * Y)
+    return np.hstack([G, P[:, np.abs(P).max(axis=0) > 0.0]])
+
+
+def _is_corner(q, p):
+    return q in (1.0, INFINITY) or p in (1.0, INFINITY) or q == p == 2.0
 
 
 def _start_operators():
@@ -134,12 +147,15 @@ class TestAscentStarts:
         assert opnorm._ascent_starts(1, 32, 0)[0].tolist() == [[1.0, -1.0]]
 
     def test_op_norm_lower_matches_full_block(self):
+        # corner pairs take a closed form instead (TestExactCorners)
         for A in _start_operators():
             n = A.source.size
             for restarts, seed in ((1, 0), (3, 0), (8, 7), (32, 3)):
-                G = _full_start_block(n, restarts, seed)
+                G = _full_start_block(n, restarts, seed, A)
                 for q in EXPONENTS:
                     for p in EXPONENTS:
+                        if _is_corner(q, p):
+                            continue
                         best, best_G = _full_block_ascent(
                             A, [q] * G.shape[1], [p] * G.shape[1], G)
                         k = int(np.argmax(best))
@@ -343,6 +359,81 @@ class TestAscentStep:
             opnorm._ascent_starts(2, 4, -1)
         with pytest.raises(ValueError):
             op_norm_lower(MatrixOperator.identity(2), 2.0, 2.0, seed=-1)
+
+
+def _corner_operators():
+    """Nonnegative and signed, square and rectangular operators on counting
+    and weighted measures, and a signed one with a zero row and column."""
+    rng = np.random.default_rng(61)
+    for m, n in ((1, 1), (1, 3), (2, 2), (3, 3), (4, 2), (2, 4), (3, 4)):
+        for signed in (False, True):
+            E = rng.uniform(0.0, 1.0, (m, n))
+            if signed:
+                E *= rng.choice([-1.0, 1.0], (m, n))
+                k = rng.integers(m * n)
+                E.flat[k] = -abs(E.flat[k])  # at least one negative entry
+            yield MatrixOperator.on_counting(E)
+            yield MatrixOperator(E, MeasureSpace(rng.uniform(0.2, 3.0, n)),
+                                 MeasureSpace(rng.uniform(0.2, 3.0, m)))
+    E = rng.uniform(-1.0, 1.0, (3, 3))
+    E[1], E[:, 2] = 0.0, 0.0
+    yield MatrixOperator.on_counting(E)
+
+
+#: the signed 3x3 whose q = 4 -> p = 1.5 norm (oracle 1.7427998933) the
+#: standard ascent starts miss by 5.2e-3
+_BASIN_MISS = [[0.7019894936866762, 0.13138766530409896, -0.48920317801548274],
+               [-0.28223867278697956, -0.6996785013712983, -0.890840495506468],
+               [0.2688611172670231, -0.9768670829831729, 0.7526362701896145]]
+
+
+class TestExactCorners:
+    """At q = 1, p = INFINITY, q = INFINITY, p = 1 and 2 -> 2 the norm is
+    the best ratio over a closed-form witness block."""
+
+    def test_ascent_never_beats_the_closed_form(self):
+        # the standard starts' ascent keeps the 1 and INFINITY classes covered
+        count = 0
+        for A in _corner_operators():
+            G = _full_start_block(A.source.size, 32, 0)
+            for q, p in itertools.product(EXPONENTS, EXPONENTS):
+                if not _is_corner(q, p):
+                    continue
+                res = op_norm_lower(A, q, p)
+                assert res.exact
+                ascent = _full_block_ascent(A, [q] * G.shape[1], [p] * G.shape[1], G)[0].max()
+                assert ascent <= res.value * (1.0 + 1e-15), (A.entries, q, p)
+                assert ascent >= res.value * (1.0 - 1e-11), (A.entries, q, p)
+                count += 1
+        assert count == 29 * 17
+
+    def test_value_is_the_ratio_at_the_witness(self):
+        for A in _corner_operators():
+            for q, p in itertools.product(EXPONENTS, EXPONENTS):
+                res = op_norm_lower(A, q, p)
+                w = res.witness
+                assert res.value == pytest.approx(
+                    lp_norm(apply(A, w), p) / lp_norm(w, q), rel=1e-15, abs=0.0)
+
+    def test_large_signed_sign_forms_fall_back_to_the_ascent(self):
+        # 2**13 sign vectors exceed the cap of 4,096; a nonnegative operator
+        # needs only the constant sign vector
+        rng = np.random.default_rng(67)
+        E = rng.uniform(0.0, 1.0, (2, 14))
+        for entries, q, p in ((E, INFINITY, 2.0), (E.T, 1.5, 1.0)):
+            assert op_norm_lower(MatrixOperator.on_counting(entries), q, p).exact
+            signed = entries * rng.choice([-1.0, 1.0], entries.shape)
+            signed[0, 0] = -abs(signed[0, 0])
+            res = op_norm_lower(MatrixOperator.on_counting(signed), q, p)
+            assert not res.exact and res.value > 0.0
+        small = MatrixOperator.on_counting(np.array(_BASIN_MISS))
+        assert op_norm_lower(small, INFINITY, 1.5).exact
+
+    def test_pullback_starts_reach_the_missed_basin(self):
+        A = MatrixOperator.on_counting(_BASIN_MISS)
+        for seed in (0, 1, 2, 7):
+            value = op_norm_lower(A, 4.0, 1.5, seed=seed).value
+            assert value >= 1.7427998933 * (1.0 - 1e-9)
 
 
 class TestOracle:
