@@ -346,7 +346,8 @@ def gls_norm(f: GridFunction, psi: GeneratingFunction,
     w = f.space.weights
     absv = np.abs(f.values)[None, :]
     peak = absv.max(axis=1, keepdims=True)
-    logs = _log_stage(absv, peak)  # shared by the grid pass and every step
+    with np.errstate(divide="ignore"):  # log(0) = -inf
+        logs = _log_stage(absv, peak)  # shared by the grid pass and every step
     ratios = _grid_ratios(logs, peak, w, pts, psi.eval_array(pts))
 
     def objective(ps: list) -> list:

@@ -17,17 +17,18 @@ to ``1e4`` and beyond; every term is nonnegative, so numpy's pairwise
 summation is accurate to a few ulps at any size.  ``INFINITY`` gives ``M``.
 A norm does not depend on which other exponents or rows share its call.
 ``gls_norm`` calls the kernel's two stages itself, ``_log_stage`` once and
-``_root_stage`` per batch of exponents, and the ascent's ``opnorm._col_norms``
+``_root_stage`` per batch of exponents, and the ascent's ``_col_norms``
 runs their arithmetic by columns; both get the kernel's norms bit for bit.
 
-Layout: rows narrower than 8 are laid out column-major, so the row maximum,
-the ``exp`` terms and the row sum run elementwise across columns instead of
-row by row (3-10x faster on tall tables of 1-4 point functions).  Below
-width 8 numpy sums a contiguous row in plain order, so both layouts give
-the same bits.  From width 8 its pairwise sum unrolls by 8, so wide rows
-keep the caller's layout and their bits; there a Fortran-ordered tall call
-adds its columns in order, which a one-row call does not.  The result is
-always C-ordered: the moment norms' ``profiles ** s @ qw``
+Layout: a sum's bits depend only on its terms and its summation order, so
+the kernel fixes the order by row width alone.  Rows narrower than 8 are
+laid out column-major, so the row maximum, the ``exp`` terms and the row
+sum run elementwise across columns (3-10x faster on tall tables of 1-4
+point functions); below width 8 numpy sums a contiguous row in plain order
+too.  Wider rows are laid out row-major and each is summed pairwise, as a
+one-row call sums it.  So a row's bits depend neither on the input's
+layout nor on the rows that share its call.  The result is always
+C-ordered: the moment norms' ``profiles ** s @ qw``
 (``mri.MRINorm.profile_norms``) is a BLAS gemv whose rounding depends on
 the layout of its matrix.
 """
@@ -134,44 +135,72 @@ def _row_norms(V: np.ndarray, w: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
     ``ps`` broadcasts against ``(m, 1)``: a 1-d array of ``k`` exponents
     gives the ``(m, k)`` table, an ``(m, 1)`` column one exponent per row.
-    Exponents are not validated; INFINITY gives the row maximum and skips
-    the log/exp work, so only the finite columns (table) or rows (per-row)
-    of a mixed call pay for it.  Rows narrower than ``_NARROW`` are laid
-    out column-major and reduce across columns; the result is C-ordered
-    whatever the input's layout (see the module docstring).
+    Exponents are not validated; INFINITY gives the row maximum.  A table
+    runs the log/exp work only for its finite exponents; a per-row call
+    runs it on every row, then gives the INFINITY rows their maxima.  A
+    row's bits depend only on the row, its weights and its exponent, not on
+    the rows, exponents or input layout that share the call; the result is
+    C-ordered (see the module docstring).
     """
-    order = "F" if V.shape[1] < _NARROW else "K"
-    absv = np.abs(V, order=order)
+    absv = np.abs(V, order="F" if V.shape[1] < _NARROW else "C")
     mx = absv.max(axis=1, keepdims=True)
     inf = np.isinf(ps)
     n_inf = np.count_nonzero(inf)
-    if n_inf == 0:
-        return np.ascontiguousarray(_finite_norms(absv, mx, w, ps))
     if n_inf == inf.size:
         return np.where(inf, mx, 0.0)
-    fin = np.flatnonzero(~inf)
-    if ps.ndim == 1:
+    if n_inf and ps.ndim == 1:
         out = np.empty((absv.shape[0], ps.size))
         out[:, inf] = mx
-        out[:, fin] = _finite_norms(absv, mx, w, ps[fin])
-    else:
-        out = mx.copy()
-        out[fin] = _finite_norms(np.asarray(absv.take(fin, 0), order=order),
-                                 mx.take(fin, 0), w, ps.take(fin, 0))
+        out[:, ~inf] = _finite_norms(absv, mx, w, ps[~inf])
+        return out
+    out = np.ascontiguousarray(_finite_norms(absv, mx, w, ps))
+    np.copyto(out, mx, where=inf)
     return out
 
 
 def _finite_norms(absv: np.ndarray, mx: np.ndarray, w: np.ndarray,
                   ps: np.ndarray) -> np.ndarray:
-    """``_row_norms`` for finite exponents, given ``|V|`` and its row maxima."""
-    return _root_stage(_log_stage(absv, mx), mx, w, ps)
+    """``_row_norms`` for finite exponents, given ``|V|`` and its row maxima
+    (an INFINITY exponent gives a value the caller replaces)."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) = -inf
+        return _root_stage(_log_stage(absv, mx), mx, w, ps)
 
 
 def _log_stage(absv: np.ndarray, mx: np.ndarray) -> np.ndarray:
-    """``log(|V| / M)`` per row (``-inf`` at zeros): the exponent-free half
-    of ``_finite_norms``, which a caller may keep across many exponents."""
-    with np.errstate(divide="ignore"):
-        return np.log(absv / np.where(mx > 0.0, mx, 1.0))
+    """``log(|V| / M)`` per row: the exponent-free half of ``_finite_norms``,
+    which a caller may keep across many exponents.  A zero gives ``-inf``;
+    callers run it under ``np.errstate(divide="ignore")``."""
+    return np.log(absv / np.where(mx > 0.0, mx, 1.0))
+
+
+def _log_table(absx: np.ndarray) -> tuple:
+    """Column maxima ``M`` of ``absx >= 0`` and ``log(absx / M)``: the log
+    stage by columns, under the same ``errstate`` as ``_log_stage``."""
+    mx = absx.max(axis=0)
+    return mx, _log_stage(absx, mx)
+
+
+def _col_norms(X: np.ndarray, w: np.ndarray, ps: np.ndarray) -> tuple:
+    """``_row_norms(X.T, w, ps[:, None])[:, 0]`` bit for bit, by the
+    kernel's arithmetic on the kernel's layout, and the log table of ``|X|``
+    (``None`` when every exponent is INFINITY).  Callers run it under
+    ``np.errstate(divide="ignore", invalid="ignore")``, as INFINITY columns
+    run the finite formula before they take their maxima."""
+    absx = np.abs(X, order="C" if X.shape[0] < _NARROW else "F")
+    inf = np.isinf(ps)
+    n_inf = np.count_nonzero(inf)
+    if n_inf == ps.size:
+        return absx.max(axis=0), None
+    mx, logs = _log_table(absx)
+    terms = np.exp(logs * ps)
+    terms *= w[:, None]
+    sums = terms.sum(axis=0)
+    out = sums ** (1.0 / ps)
+    np.sqrt(sums, out=out, where=ps == 2.0)  # as _root_stage roots every p = 2
+    out *= mx
+    if n_inf:
+        out[inf] = mx[inf]
+    return out, logs
 
 
 def _root_stage(logs: np.ndarray, mx: np.ndarray, w: np.ndarray,
@@ -186,9 +215,7 @@ def _root_stage(logs: np.ndarray, mx: np.ndarray, w: np.ndarray,
     # numpy roots a lone exponent 2 with the correctly rounded sqrt but
     # several with pow; sqrt for every p = 2 keeps each norm independent of
     # which exponents share the call
-    two = ps == 2.0
-    if two.any():
-        np.sqrt(sums, out=out, where=two)
+    np.sqrt(sums, out=out, where=ps == 2.0)
     out *= mx
     return out
 

@@ -22,9 +22,10 @@ Norm estimation comes in two independent flavors:
   ascent's start set, so agreement shows that those starts reach the
   global basin, and at the corner pairs that the closed forms hold.
 
-A product with one output row is summed term by term (``_term_products``),
-since numpy's vector path for it rounds according to the batch width;
-wider products use matmul.
+A column's norms and products have the same bits whatever else shares its
+call, on sources and targets of up to 12 points (see ``_ascent_batch``):
+one-row products are summed term by term (``_term_products``), and wider
+ones use matmul, a lone column as one of two copies.
 
 ``minimal_constant`` runs the same ascent over a grid of exponent pairs; it
 is the constant of the extrapolation inequality.  Where the nesting of Lp
@@ -47,8 +48,9 @@ import numpy as np
 
 from .genfun import ExponentInterval, GeneratingFunction
 from .gls import _TINY, PGrid, exponent_grid, grid_from_points
-from .measure import (INFINITY, GridFunction, MeasureSpace, _row_norms,
-                      _spec_matrix, _spec_numbers, as_exponent, is_infinite)
+from .measure import (INFINITY, GridFunction, MeasureSpace, _col_norms, _log_table,
+                      _row_norms, _spec_matrix, _spec_numbers, as_exponent,
+                      is_infinite)
 
 
 def inv_exponent(p: float) -> float:
@@ -133,36 +135,11 @@ def apply(A: MatrixOperator, g: GridFunction) -> GridFunction:
 _ONE, _INF, _FINITE = "one", "inf", "finite"
 
 
-def _exponent_classes(ec: np.ndarray) -> tuple:
+def _exponent_classes(ec: np.ndarray) -> list:
     """``(class, column mask)`` of each class present among the exponents
-    ``ec`` of a batch side, and the class of every column (``None`` if mixed)."""
+    ``ec`` of a batch side."""
     one, inf = ec == 1.0, np.isinf(ec)
-    parts = [(c, m) for c, m in ((_ONE, one), (_INF, inf), (_FINITE, ~(one | inf))) if m.any()]
-    return parts, parts[0][0] if len(parts) == 1 else None
-
-
-def _log_table(absx: np.ndarray) -> tuple:
-    """Column maxima ``M`` of ``absx >= 0`` and ``log(absx / M)``: the log
-    stage of the norm kernel, by columns."""
-    mx = absx.max(axis=0)
-    return mx, np.log(absx / np.where(mx > 0.0, mx, 1.0))
-
-
-def _col_norms(X: np.ndarray, w: np.ndarray, e: np.ndarray, cls) -> tuple:
-    """``_row_norms(X.T, w, e[:, None])[:, 0]`` bit for bit (the kernel's
-    arithmetic, summed in its layout), and X's log table at a finite class
-    ``cls``; ``None`` for mixed classes, which the kernel splits itself."""
-    if cls is None:
-        return _row_norms(X.T, w, e[:, None])[:, 0], None
-    if cls == _INF:
-        return np.abs(X).max(axis=0), None
-    mx, logs = _log_table(np.abs(X))
-    terms = np.exp(logs * e)
-    terms *= w[:, None]
-    sums = terms.sum(axis=0)
-    out = sums ** (1.0 / e)
-    np.sqrt(sums, out=out, where=e == 2.0)  # as the kernel roots every p = 2
-    return out * mx, logs
+    return [(c, m) for c, m in ((_ONE, one), (_INF, inf), (_FINITE, ~(one | inf))) if m.any()]
 
 
 def _dual_target(H: np.ndarray, logs: Optional[np.ndarray], w: np.ndarray,
@@ -170,7 +147,7 @@ def _dual_target(H: np.ndarray, logs: Optional[np.ndarray], w: np.ndarray,
     """Columnwise ascent direction of the weighted p-norm at H (unscaled).
     Each class in ``parts`` runs on the whole block, as no column depends on
     another, and is kept on its own columns (``cols`` are H's batch
-    columns); ``logs`` is H's log table when already taken."""
+    columns); ``logs`` is H's log table."""
     U = None
     for cls, mask in parts:
         if cls == _ONE:
@@ -180,8 +157,7 @@ def _dual_target(H: np.ndarray, logs: Optional[np.ndarray], w: np.ndarray,
             V = np.zeros_like(H)
             V[k, j] = np.sign(H[k, j])
         else:
-            L = _log_table(np.abs(H))[1] if logs is None else logs
-            V = w[:, None] * np.exp(L * (pa - 1.0)) * np.sign(H)
+            V = w[:, None] * np.exp(logs * (pa - 1.0)) * np.sign(H)
         U = V if U is None else np.where(mask[cols], V, U)
     return U
 
@@ -202,18 +178,18 @@ def _dual_source(Z: np.ndarray, w: np.ndarray, qa: np.ndarray, parts: list,
         else:
             logs = _log_table(np.abs(Z) / w[:, None])[1]
             B = np.exp(logs * (1.0 / (qa - 1.0))) * np.sign(Z)
-            norms = _col_norms(B, w, qa, _FINITE)[0]
+            norms = _col_norms(B, w, qa)[0]
             V = B / np.where(norms == 0.0, 1.0, norms)
         G = V if G is None else np.where(mask[cols], V, G)
     return G
 
 
 def _ratios(H: np.ndarray, G: np.ndarray, mu: np.ndarray, nu: np.ndarray,
-            qa: np.ndarray, pa: np.ndarray, q_cls, p_cls) -> tuple:
+            qa: np.ndarray, pa: np.ndarray) -> tuple:
     """Columnwise ratios ``|H|_p / |G|_q`` of products ``H = A G`` (0 for a
-    zero column of G), and H's log table at a finite class ``p_cls``."""
-    gn = _col_norms(G, nu, qa, q_cls)[0]
-    hn, logs = _col_norms(H, mu, pa, p_cls)
+    zero column of G), and H's log table (``None`` if every p is INFINITY)."""
+    gn = _col_norms(G, nu, qa)[0]
+    hn, logs = _col_norms(H, mu, pa)
     return hn / np.where(gn > 0.0, gn, INFINITY), logs
 
 
@@ -228,7 +204,7 @@ def _term_products(M: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
                   G: np.ndarray, qc: np.ndarray, pc: np.ndarray,
-                  twinned: np.ndarray, tol: float, max_iter: int) -> tuple:
+                  tol: float, max_iter: int) -> tuple:
     """Duality-map ascent over many columns at once; column c maximizes the
     qc[c] -> pc[c] ratio.  Returns (best ratios, best witnesses).  It is
     the one ascent of ``op_norm_lower``, ``minimal_constant`` and the
@@ -239,28 +215,28 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     two-cycles at the corner exponents), or when its pullback dies.
 
     Each side's exponent class (1, INFINITY or finite) is fixed once per
-    batch.  A uniform side evaluates its class on the whole active block,
-    and the target norm and duality map share one ``log(|H|/M)`` table; a
-    mixed side uses class masks built once and the kernel's norms.  Values
-    and witnesses are those of per-column kernel calls, bit for bit.
+    batch; each class evaluates its formula on the whole active block and
+    keeps it on its own columns, and the target norm and duality map share
+    one ``log(|H|/M)`` table.
 
-    BLAS takes a product with a single column through gemv, which can round
-    differently from the gemm of a wider batch.  ``twinned[c]`` marks a
-    start that was drawn more than once (see ``_ascent_starts``): had its
-    repeats run, it would never have been alone, so when it is the last
-    active column its products still go through gemm, as one of two copies.
-    numpy sends a product with one output row down a vector path whose bits
-    depend on the batch width, so those are summed term by term
-    (``_term_products``); products of two or more rows stay on matmul.
+    A column's value and witness do not depend on which columns, exponent
+    classes or batch sizes share the call.  ``measure._col_norms`` gives
+    each column the kernel's bits.  BLAS takes a single column through
+    gemv, which rounds differently from gemm, so a lone column goes through
+    gemm as one of two copies; a gemm column's bits do not depend on the
+    other columns for contraction lengths up to 12 (tested with OpenBLAS
+    on one thread; at 16 they do), which bounds the promise to sources and
+    targets of up to 12 points.  numpy's vector path for a product with one
+    output row rounds by batch width, so those are summed term by term.
     """
-    def product(M: np.ndarray, X: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def product(M: np.ndarray, X: np.ndarray) -> np.ndarray:
         if M.shape[0] == 1:
             return _term_products(M, X)
-        if cols.size == 1 and twinned[cols[0]]:
-            return (M @ np.repeat(X, 2, axis=1))[:, :1]
+        if X.shape[1] == 1:
+            return (M @ X.repeat(2, axis=1))[:, :1]
         return M @ X
 
-    (q_parts, q_cls), (p_parts, p_cls) = _exponent_classes(qc), _exponent_classes(pc)
+    q_parts, p_parts = _exponent_classes(qc), _exponent_classes(pc)
     n_cols = G.shape[1]
     best = np.zeros(n_cols)
     prev = np.full(n_cols, -1.0)
@@ -268,14 +244,14 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     idx = np.arange(n_cols)
     # log(0) = -inf; a mixed side's formulas also run on other classes' columns
     with np.errstate(divide="ignore", invalid="ignore"):
-        g0 = _col_norms(G, nu, qc, q_cls)[0]
+        g0 = _col_norms(G, nu, qc)[0]
         G = G / np.where(g0 > 0.0, g0, 1.0)
         best_G = G.copy()
         for _ in range(int(max_iter)):
             Ga = G[:, idx]
             qa, pa = qc[idx], pc[idx]
-            H = product(E, Ga, idx)
-            ratio, logs = _ratios(H, Ga, mu, nu, qa, pa, q_cls, p_cls)
+            H = product(E, Ga)
+            ratio, logs = _ratios(H, Ga, mu, nu, qa, pa)
 
             improved = ratio > best[idx]
             cols = idx[improved]
@@ -288,9 +264,9 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
             keep = ~stalled & (no_improve[idx] < 3)
             if not keep.any():
                 break
-            logs = logs[:, keep] if p_cls == _FINITE else None
+            logs = None if logs is None else logs[:, keep]
             U = _dual_target(H[:, keep], logs, mu, pa[keep], p_parts, idx[keep])
-            Z = product(E.T, U, idx[keep])
+            Z = product(E.T, U)
             alive = np.abs(Z).max(axis=0) > 0.0
             idx = idx[keep][alive]
             if idx.size == 0:
@@ -299,17 +275,16 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     return best, best_G
 
 
-def _ascent_starts(n: int, restarts: int, seed) -> tuple:
+def _ascent_starts(n: int, restarts: int, seed) -> np.ndarray:
     """Distinct ascent starts, one per column, in first-occurrence order.
 
     The block is the constant vector, the basis vectors and ``restarts``
     seeded random sign vectors; a column equal to an earlier one is dropped.
     A small source has few sign vectors (2**n), and a repeated start would
-    retrace its twin's ascent bit for bit, so dropping it changes no best
-    value or witness and saves its work.  Returns the starts and, per
-    start, whether it was drawn more than once (``_ascent_batch`` needs it
-    to round as the full block did), both read-only.  An integer seed's
-    blocks come from a small cache; any other seed (``None``, a list, a
+    retrace its twin's ascent bit for bit (``_ascent_batch`` is
+    batch-invariant), so dropping it changes no best value or witness and
+    saves its work.  The block is read-only.  An integer seed's blocks come
+    from a small cache; any other seed (``None``, a list, a
     ``SeedSequence`` or a ``Generator``) may be random or unhashable.
     """
     if isinstance(seed, (int, np.integer)):
@@ -320,19 +295,16 @@ def _ascent_starts(n: int, restarts: int, seed) -> tuple:
     G = np.hstack([np.ones((n, 1)), np.eye(n), signs])
     # a dict of column bytes costs less than np.unique for so few columns
     raw, width = G.T.tobytes(), 8 * n
-    first, twins = {}, set()
+    first = {}
     for j in range(G.shape[1]):
-        key = raw[j * width:(j + 1) * width]
-        if first.setdefault(key, j) != j:
-            twins.add(key)
-    starts = G[:, list(first.values())], np.array([key in twins for key in first])
-    for block in starts:
-        block.flags.writeable = False
+        first.setdefault(raw[j * width:(j + 1) * width], j)
+    starts = G[:, list(first.values())]
+    starts.flags.writeable = False
     return starts
 
 
 @functools.lru_cache(maxsize=32)
-def _cached_starts(n: int, restarts: int, seed: int) -> tuple:
+def _cached_starts(n: int, restarts: int, seed: int) -> np.ndarray:
     """``default_rng(SeedSequence(seed))`` draws what ``default_rng(seed)`` does."""
     return _ascent_starts(n, restarts, np.random.SeedSequence(seed))
 
@@ -372,7 +344,7 @@ def _corner_witnesses(A: MatrixOperator, q: float, p: float) -> Optional[np.ndar
     def dual(Z: np.ndarray) -> np.ndarray:  # maximizers of <z, g> on the q-sphere
         qa = np.full(Z.shape[1], q)
         with np.errstate(divide="ignore"):  # log(0) = -inf
-            return _dual_source(Z, nu, qa, _exponent_classes(qa)[0], np.arange(qa.size))
+            return _dual_source(Z, nu, qa, _exponent_classes(qa), np.arange(qa.size))
 
     if q == 1.0:
         return np.diag(1.0 / nu)
@@ -440,7 +412,7 @@ def op_norm_lower(A: MatrixOperator, q: float, p: float, restarts: int = 32,
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     n_y = A.source.size
-    G, twinned = _ascent_starts(n_y, restarts, seed)  # validates the seed
+    G = _ascent_starts(n_y, restarts, seed)  # validates the seed
     if not A.entries.any():
         return AscentResult(0.0, GridFunction(A.source, np.zeros(n_y)), True)
     E, mu, nu = A.entries, A.target.weights, A.source.weights
@@ -448,17 +420,15 @@ def op_norm_lower(A: MatrixOperator, q: float, p: float, restarts: int = 32,
     if W is not None:
         qa, pa = np.full(W.shape[1], q), np.full(W.shape[1], p)
         with np.errstate(divide="ignore", invalid="ignore"):  # log(0) = -inf
-            ratio = _ratios(E @ W, W, mu, nu, qa, pa, _exponent_classes(qa)[1],
-                            _exponent_classes(pa)[1])[0]
+            ratio = _ratios(E @ W, W, mu, nu, qa, pa)[0]
         k = int(np.argmax(ratio))
         return AscentResult(float(ratio[k]), GridFunction(A.source, W[:, k].copy()),
                             exact=True)
     if not A.is_nonnegative():
-        P = _pullback_starts(A)
-        G, twinned = np.hstack([G, P]), np.append(twinned, np.zeros(P.shape[1], dtype=bool))
+        G = np.hstack([G, _pullback_starts(A)])
     n_cols = G.shape[1]
     best, best_G = _ascent_batch(E, mu, nu, G, np.full(n_cols, q), np.full(n_cols, p),
-                                 twinned, tol, max_iter)
+                                 tol, max_iter)
     k = int(np.argmax(best))
     return AscentResult(float(best[k]), GridFunction(A.source, best_G[:, k].copy()))
 
@@ -626,14 +596,12 @@ def op_norm_oracle_table(A: MatrixOperator, qs: Sequence[float],
     (``_ascent_batch``, ``tol`` 1e-15, at most 500 steps) over every pair,
     each started from its best grid or classical candidate direction with
     its sign pattern applied; a pair keeps the larger of its grid and ascent
-    values.  Every start is marked twinned, so no product goes through
-    gemv, and one-row products are summed term by term: on targets of fewer
-    than 8 points a pair's value does not depend on which other pairs share
-    the call.  On 8 or more, the kernel's row sums (pairwise for one column,
-    in order for several) and BLAS can move it in the last bit.  The start
-    is the grid argmax, not one of the ascent's own starts
-    (``op_norm_lower``), so agreement of the two tests whether those
-    standard starts reach the global basin.  Returns a dict keyed by (q, p).
+    values.  The ascent and the kernel are batch-invariant, so on sources
+    and targets of up to 12 points a pair's value does not depend on which
+    other pairs share the call.  The start is the grid argmax, not one of
+    the ascent's own starts (``op_norm_lower``), so agreement of the two
+    tests whether those standard starts reach the global basin.  Returns a
+    dict keyed by (q, p).
     """
     qs = [as_exponent(qv) for qv in qs]
     ps = [as_exponent(p) for p in ps]
@@ -707,8 +675,7 @@ def op_norm_oracle_table(A: MatrixOperator, qs: Sequence[float],
     if polish and n_y > 1:
         G = (start * patterns[sign_of]).reshape(-1, n_y).T
         polished, _ = _ascent_batch(E, mu, nu, G, np.repeat(q_vals, p_vals.size),
-                                    np.tile(p_vals, len(q_vals)),
-                                    np.ones(values.size, dtype=bool), 1e-15, 500)
+                                    np.tile(p_vals, len(q_vals)), 1e-15, 500)
         values = np.maximum(values, polished)
     table = dict(zip(itertools.product(q_vals, p_vals.tolist()), values.tolist()))
     return {(qv, p): table[(qv, p)] for qv in qs for p in ps}
@@ -724,9 +691,9 @@ def op_norm_oracle(A: MatrixOperator, q: float, p: float, resolution: int = 720,
     grid.  A duality ascent from the best grid or classical direction
     polishes the value.  This is the one-pair case of
     ``op_norm_oracle_table``, whose shared-log grid pass and batched polish
-    give the same value for a pair whichever pairs share the call (targets
-    of fewer than 8 points), so several pairs of one operator are cheaper
-    as one table.  The grid holds ``resolution**(n-1)`` directions,
+    give the same value for a pair whichever pairs share the call (sources
+    and targets of up to 12 points), so several pairs of one operator are
+    cheaper as one table.  The grid holds ``resolution**(n-1)`` directions,
     of which the pass evaluates those that a block bound cannot skip (see
     ``_grid_survivors``).  Sources larger than 4 are rejected unless
     ``allow_large`` is set.
@@ -857,13 +824,14 @@ def minimal_constant(A: MatrixOperator, sigma: float, p_grid: Sequence[float],
 
     ``samples`` seeded random sign vectors join the constant and basis
     starts of the inner ascent of every remaining (q, p) pair, and a start
-    drawn twice runs once (see ``_ascent_starts``).  All pairs run as one
+    drawn twice runs once (see ``_ascent_starts``); a signed operator adds
+    the pullback starts, as ``op_norm_lower`` does.  All pairs run as one
     batched ascent with the same start block, class-uniform when the grid
     collapses to a corner (every magic and random ensemble instance), with
-    class masks built once otherwise.  That matches per-pair
-    ``op_norm_lower`` calls up to rounding: a lone column of a per-pair call
-    goes through BLAS gemv, where the batch still uses gemm, so a value can
-    differ in its last bits.  Ties resolve toward the lexicographically
+    class masks built once otherwise.  The ascent is batch-invariant (see
+    ``_ascent_batch``), so on sources and targets of up to 12 points each
+    pair gets the bits of its own ``op_norm_lower`` ascent with the same
+    seed.  Ties resolve toward the lexicographically
     smallest remaining (p, q); on a collapsed axis that is its corner.  The
     zero matrix reports 0 at the smallest (p, q) of the full grids.
     """
@@ -880,13 +848,15 @@ def minimal_constant(A: MatrixOperator, sigma: float, p_grid: Sequence[float],
     q_pts = _corner(q_pts, sigma, A.source, low=False)
     pairs = [(p, qv) for p in p_pts for qv in q_pts]
 
-    starts, twinned = _ascent_starts(A.source.size, samples, seed)
+    starts = _ascent_starts(A.source.size, samples, seed)
+    if not A.is_nonnegative():
+        starts = np.hstack([starts, _pullback_starts(A)])
     n_starts = starts.shape[1]
     G = np.tile(starts, len(pairs))
     pc = np.repeat([p for p, _ in pairs], n_starts)
     qc = np.repeat([qv for _, qv in pairs], n_starts)
     best, _ = _ascent_batch(A.entries, A.target.weights, A.source.weights,
-                            G, qc, pc, np.tile(twinned, len(pairs)), tol, max_iter)
+                            G, qc, pc, tol, max_iter)
     per_pair = best.reshape(len(pairs), n_starts).max(axis=1)
 
     best_val = -INFINITY

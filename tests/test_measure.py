@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from glsx import (INFINITY, GridFunction, MeasureSpace, grid_function_from_spec,
                   lp_norm, lp_norm_table, tail_function)
-from glsx.measure import _row_norms
+from glsx.measure import _col_norms, _row_norms
 
 finite_values = st.lists(
     st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
@@ -162,15 +162,14 @@ class TestLpNormTable:
         assert np.array_equal(rows[:, 0], table[np.arange(V.shape[0]),
                                                np.arange(V.shape[0]) % ps.size])
 
-    @pytest.mark.parametrize("width", range(1, 8))
-    def test_layout_does_not_change_bits_below_width_8(self, width):
-        """C- and Fortran-ordered input give the same bits at widths 1-7, in
-        table and per-row mode; the oracle's grid pass gathers its columns
-        in either layout.  Both layouts run the kernel column-major at
-        these widths, so this pins the result, not the summation order:
-        ``test_rows_do_not_depend_on_their_call`` pins that.  From width 8
-        the two layouts may sum in different orders (numpy's pairwise sum
-        unrolls by 8 on a contiguous axis)."""
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_layout_does_not_change_bits(self, width):
+        """C- and Fortran-ordered input give the same bits at widths 1-12,
+        in table and per-row mode; the oracle's grid pass gathers its
+        columns in either layout.  The kernel lays both out the same way
+        (column-major below width 8, row-major from 8), so this pins the
+        result, not the summation order:
+        ``test_rows_do_not_depend_on_their_call`` pins that."""
         rng = np.random.default_rng(width)
         V = rng.standard_normal((500, width)) * np.exp(rng.uniform(-30.0, 30.0, (500, 1)))
         V[7] = 0.0
@@ -188,9 +187,9 @@ class TestLpNormTable:
         row, in both input layouts, table and per-row mode, with and without
         INFINITY; the result is C-ordered.  Below width 8 the kernel reduces
         across columns; a one-row call sums its row as one contiguous run,
-        so this pins that the two orders agree.  Fortran-ordered input of
-        width 8 or more is left out: it keeps numpy's order, which adds the
-        columns of a tall call one by one, while a lone row sums pairwise."""
+        so this pins that the two orders agree.  From width 8 every row is
+        a contiguous run, summed pairwise as in a one-row call.  The
+        column form ``_col_norms`` gives the same bits per column."""
         rng = np.random.default_rng(100 + width)
         V = rng.standard_normal((300, width)) * np.exp(rng.uniform(-30.0, 30.0, (300, 1)))
         V[5] = 0.0
@@ -202,11 +201,13 @@ class TestLpNormTable:
                        np.resize(finite, 300)[:, None]):
                 out = _row_norms(X, w, ps)
                 assert out.flags.c_contiguous
-                if width >= 8 and X.flags.f_contiguous:
-                    continue
                 for i in range(X.shape[0]):
                     one = _row_norms(X[i:i + 1], w, ps if ps.ndim == 1 else ps[i:i + 1])
                     assert out[i].tobytes() == one[0].tobytes(), (i, ps.ndim)
+                if ps.ndim == 2:
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        cols = _col_norms(np.ascontiguousarray(X.T), w, ps[:, 0])[0]
+                    assert cols.tobytes() == out[:, 0].tobytes()
 
     def test_zero_rows_and_empty_exponents(self):
         got = lp_norm_table([[0.0, 0.0], [3.0, -4.0]], [1.0, 1.0], [2.0, INFINITY])

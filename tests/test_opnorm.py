@@ -109,17 +109,15 @@ def _start_operators():
 
 
 def _full_block_ascent(A, qc, pc, G):
-    # no start is dropped, so no column needs the gemm route of a twin
     return opnorm._ascent_batch(A.entries, A.target.weights, A.source.weights, G,
-                                np.asarray(qc, float), np.asarray(pc, float),
-                                np.zeros(G.shape[1], dtype=bool), 1e-12, 200)
+                                np.asarray(qc, float), np.asarray(pc, float), 1e-12, 200)
 
 
 def _full_grid_constant(A, sigma, p_grid, q_grid, samples, seed):
     """Every (p, q) pair of the grids and every start, in one full-block
     ascent; returns the grid maximum and its lexicographically first pair."""
     pairs = [(p, q) for p in sorted(p_grid) for q in sorted(q_grid)]
-    G = _full_start_block(A.source.size, samples, seed)
+    G = _full_start_block(A.source.size, samples, seed, A)
     cols = G.shape[1]
     best, _ = _full_block_ascent(A, np.repeat([q for _, q in pairs], cols),
                                  np.repeat([p for p, _ in pairs], cols),
@@ -139,12 +137,10 @@ class TestAscentStarts:
             for restarts in (1, 8, 32):
                 for seed in range(6):
                     full = [c.tobytes() for c in _full_start_block(n, restarts, seed).T]
-                    G, twinned = opnorm._ascent_starts(n, restarts, seed)
-                    got = [c.tobytes() for c in G.T]
+                    got = [c.tobytes() for c in opnorm._ascent_starts(n, restarts, seed).T]
                     # dict keys: each column once, where it first occurs
                     assert got == list(dict.fromkeys(full))
-                    assert twinned.tolist() == [full.count(c) > 1 for c in got]
-        assert opnorm._ascent_starts(1, 32, 0)[0].tolist() == [[1.0, -1.0]]
+        assert opnorm._ascent_starts(1, 32, 0).tolist() == [[1.0, -1.0]]
 
     def test_op_norm_lower_matches_full_block(self):
         # corner pairs take a closed form instead (TestExactCorners)
@@ -177,9 +173,6 @@ class TestAscentStarts:
                     assert (got.argmax_p, got.argmax_q) == arg
 
     def test_minimal_constant_matches_per_pair_ascents(self):
-        # a per-pair call can take a lone column through BLAS gemv where the
-        # batch of all pairs uses gemm, so the two agree to rounding rather
-        # than bit for bit
         sigma = 2.0
         p_grid, q_grid = exponent_grid(4, 8, 5), exponent_grid(1, 2, 5)
         for A in _start_operators():
@@ -189,9 +182,8 @@ class TestAscentStarts:
                             for p in p_grid for q in q_grid}
                 want = max(per_pair.values())
                 got = minimal_constant(A, sigma, p_grid, q_grid, samples=samples, seed=seed)
-                assert got.value == pytest.approx(want, rel=1e-14, abs=0.0)
-                assert per_pair[(got.argmax_p, got.argmax_q)] == \
-                    pytest.approx(want, rel=1e-14, abs=0.0)
+                assert got.value == want
+                assert per_pair[(got.argmax_p, got.argmax_q)] == want
 
 
 def _masked_dual_target(H, w, pc):
@@ -249,17 +241,17 @@ def _masked_dual_source(Z, w, qc):
     return G
 
 
-def _masked_ascent_batch(E, mu, nu, G, qc, pc, twinned, tol, max_iter):
+def _masked_ascent_batch(E, mu, nu, G, qc, pc, tol, max_iter):
     """Reference ascent: class masks worked out at every step, three kernel
     calls per step (source norm, target norm, projection norm)."""
-    def product(M, X, cols):
+    def product(M, X):
         if M.shape[0] == 1:  # one output row: summed term by term, in order
             out = M[:, :1] * X[:1]
             for j in range(1, M.shape[1]):
                 out = out + M[:, j:j + 1] * X[j:j + 1]
             return out
-        if cols.size == 1 and twinned[cols[0]]:
-            return (M @ np.repeat(X, 2, axis=1))[:, :1]
+        if X.shape[1] == 1:  # a lone column: gemm, as one of two copies
+            return (M @ np.hstack([X, X]))[:, :1]
         return M @ X
 
     n_cols = G.shape[1]
@@ -273,7 +265,7 @@ def _masked_ascent_batch(E, mu, nu, G, qc, pc, twinned, tol, max_iter):
     for _ in range(int(max_iter)):
         Ga = G[:, idx]
         qa, pa = qc[idx], pc[idx]
-        H = product(E, Ga, idx)
+        H = product(E, Ga)
         gn = _row_norms(Ga.T, nu, qa[:, None])[:, 0]
         hn = _row_norms(H.T, mu, pa[:, None])[:, 0]
         ok = gn > 0.0
@@ -290,7 +282,7 @@ def _masked_ascent_batch(E, mu, nu, G, qc, pc, twinned, tol, max_iter):
         if not keep.any():
             break
         U = _masked_dual_target(H[:, keep], mu, pa[keep])
-        Z = product(E.T, U, idx[keep])
+        Z = product(E.T, U)
         alive = np.abs(Z).max(axis=0) > 0.0
         idx = idx[keep][alive]
         if idx.size == 0:
@@ -300,7 +292,7 @@ def _masked_ascent_batch(E, mu, nu, G, qc, pc, twinned, tol, max_iter):
 
 
 def _step_cases():
-    """(E, mu, nu, G, qc, pc, twinned) batches: every uniform (q, p) pair and
+    """(E, mu, nu, G, qc, pc) batches: every uniform (q, p) pair and
     mixed batches, on counting and weighted measures, signed operators with
     a zero column, a zero start column, and targets of 8 or more rows (the
     wide-row layout of ``measure``)."""
@@ -308,51 +300,64 @@ def _step_cases():
     for m, n in ((1, 3), (2, 2), (3, 3), (4, 3), (8, 3), (9, 2), (12, 4), (3, 9)):
         E = rng.uniform(-1.0, 1.0, (m, n))
         E[:, -1] = 0.0
-        starts, twinned = opnorm._ascent_starts(n, 6, int(rng.integers(100)))
+        starts = opnorm._ascent_starts(n, 6, int(rng.integers(100)))
         G = np.hstack([starts, np.zeros((n, 1))])
-        # every start twinned: a lone last column keeps its gemm route
-        for tw in (np.append(twinned, False), np.ones(G.shape[1], dtype=bool)):
-            for mu, nu in ((np.ones(m), np.ones(n)),
-                           (rng.uniform(0.2, 3.0, m), rng.uniform(0.2, 3.0, n))):
-                cols = G.shape[1]
-                for q, p in itertools.product(EXPONENTS, EXPONENTS):
-                    yield E, mu, nu, G, np.full(cols, q), np.full(cols, p), tw
-                for pairs in (((1.0, INFINITY), (2.0, 1.5), (INFINITY, 1.0), (4.0, 4.0)),
-                              ((1.0, 2.0), (1.5, 1.0)), ((INFINITY, 4.0), (2.0, INFINITY)),
-                              ((1.5, 2.0), (4.0, 1.5))):
-                    yield (E, mu, nu, np.tile(G, len(pairs)),
-                           np.repeat([q for q, _ in pairs], cols),
-                           np.repeat([p for _, p in pairs], cols), np.tile(tw, len(pairs)))
+        for mu, nu in ((np.ones(m), np.ones(n)),
+                       (rng.uniform(0.2, 3.0, m), rng.uniform(0.2, 3.0, n))):
+            cols = G.shape[1]
+            for q, p in itertools.product(EXPONENTS, EXPONENTS):
+                yield E, mu, nu, G, np.full(cols, q), np.full(cols, p)
+            for pairs in (((1.0, INFINITY), (2.0, 1.5), (INFINITY, 1.0), (4.0, 4.0)),
+                          ((1.0, 2.0), (1.5, 1.0)), ((INFINITY, 4.0), (2.0, INFINITY)),
+                          ((1.5, 2.0), (4.0, 1.5))):
+                yield (E, mu, nu, np.tile(G, len(pairs)),
+                       np.repeat([q for q, _ in pairs], cols),
+                       np.repeat([p for _, p in pairs], cols))
 
 
 class TestAscentStep:
     def test_matches_masked_step_bit_for_bit(self):
         count = 0
-        for E, mu, nu, G, qc, pc, tw in _step_cases():
-            got = opnorm._ascent_batch(E, mu, nu, G, qc, pc, tw, 1e-12, 200)
-            want = _masked_ascent_batch(E, mu, nu, G, qc, pc, tw, 1e-12, 200)
+        for E, mu, nu, G, qc, pc in _step_cases():
+            got = opnorm._ascent_batch(E, mu, nu, G, qc, pc, 1e-12, 200)
+            want = _masked_ascent_batch(E, mu, nu, G, qc, pc, 1e-12, 200)
             assert np.array_equal(got[0], want[0]), (E.shape, qc, pc)
             assert np.array_equal(got[1], want[1]), (E.shape, qc, pc)
             count += 1
-        assert count == 8 * 2 * 2 * (25 + 4)
+        assert count == 8 * 2 * (25 + 4)
+
+    def test_gemm_columns_do_not_depend_on_their_batch(self):
+        # the BLAS property the ascent's products rely on: with a lone column
+        # sent as two copies, a product column has the bits of a two-column
+        # product, for contraction lengths up to 12 and 2-32 output rows, and
+        # for the transposed operator the pullback multiplies by
+        rng = np.random.default_rng(71)
+        for k in range(2, 13):
+            for rows in (2, 3, 5, 8, 12, 17, 32):
+                M = rng.uniform(-1.0, 1.0, (rows, k))
+                for A in (M, np.ascontiguousarray(M.T).T):
+                    for cols in (2, 3, 7, 29):
+                        X = rng.uniform(-1.0, 1.0, (k, cols))
+                        P = A @ X
+                        for j in range(cols):
+                            assert P[:, j].tobytes() == (A @ X[:, [j, j]])[:, 0].tobytes()
 
     def test_start_blocks_cached_for_integer_seeds(self):
-        blocks = opnorm._ascent_starts(3, 8, 11)
-        assert opnorm._ascent_starts(3, 8, np.int64(11)) is blocks
-        assert not any(block.flags.writeable for block in blocks)
+        block = opnorm._ascent_starts(3, 8, 11)
+        assert opnorm._ascent_starts(3, 8, np.int64(11)) is block
+        assert not block.flags.writeable
         with pytest.raises(ValueError):
-            blocks[0][0, 0] = 0.0
+            block[0, 0] = 0.0
 
     def test_other_seeds_run_uncached(self):
         info = opnorm._cached_starts.cache_info()
-        fresh = [opnorm._ascent_starts(4, 32, None)[0] for _ in range(2)]
+        fresh = [opnorm._ascent_starts(4, 32, None) for _ in range(2)]
         assert not np.array_equal(*fresh)  # 2**-128 chance of a tie
         for seed in ([5, 6], np.random.SeedSequence(5), np.random.default_rng(5)):
-            G, twinned = opnorm._ascent_starts(3, 8, seed)
-            assert G.shape[1] == twinned.size and not G.flags.writeable
+            assert not opnorm._ascent_starts(3, 8, seed).flags.writeable
         assert opnorm._cached_starts.cache_info() == info
-        assert np.array_equal(opnorm._ascent_starts(3, 8, np.random.SeedSequence(5))[0],
-                              opnorm._ascent_starts(3, 8, 5)[0])
+        assert np.array_equal(opnorm._ascent_starts(3, 8, np.random.SeedSequence(5)),
+                              opnorm._ascent_starts(3, 8, 5))
 
     def test_negative_seed_raises(self):
         with pytest.raises(ValueError):
@@ -430,10 +435,13 @@ class TestExactCorners:
         assert op_norm_lower(small, INFINITY, 1.5).exact
 
     def test_pullback_starts_reach_the_missed_basin(self):
+        # minimal_constant shares the pullback starts, so its one-pair grid
+        # gets op_norm_lower's value bit for bit
         A = MatrixOperator.on_counting(_BASIN_MISS)
         for seed in (0, 1, 2, 7):
             value = op_norm_lower(A, 4.0, 1.5, seed=seed).value
             assert value >= 1.7427998933 * (1.0 - 1e-9)
+            assert minimal_constant(A, 1.0, [1.5], [4.0], seed=seed).value == value
 
 
 class TestOracle:
@@ -517,6 +525,9 @@ class TestOracle:
             E = rng.uniform(0.1, 1.0, (1, n))
             operators += [MatrixOperator.on_counting(E),
                           MatrixOperator.on_counting(E * np.resize([1.0, -1.0], n))]
+        # targets of 8-12 points: the kernel sums their rows pairwise
+        for m, n in ((8, 2), (9, 3), (10, 2), (11, 3), (12, 2), (12, 3)):
+            operators.append(MatrixOperator.on_counting(rng.uniform(-1.0, 1.0, (m, n))))
         for A in operators:
             table = op_norm_oracle_table(A, EXPONENTS, EXPONENTS, resolution=60)
             assert list(table) == [(q, p) for q in EXPONENTS for p in EXPONENTS]
@@ -597,9 +608,9 @@ class TestPolish:
         calls = []
         batch = opnorm._ascent_batch
 
-        def spy(E, mu, nu, G, qc, pc, twinned, tol, max_iter):
-            out = batch(E, mu, nu, G, qc, pc, twinned, tol, max_iter)
-            calls.append(((G.copy(), qc, pc, twinned, tol, max_iter), out))
+        def spy(E, mu, nu, G, qc, pc, tol, max_iter):
+            out = batch(E, mu, nu, G, qc, pc, tol, max_iter)
+            calls.append(((G.copy(), qc, pc, tol, max_iter), out))
             return out
 
         monkeypatch.setattr(opnorm, "_ascent_batch", spy)
@@ -612,8 +623,8 @@ class TestPolish:
             calls.clear()
             table = op_norm_oracle_table(A, EXPONENTS, EXPONENTS, resolution=90)
             assert len(calls) == 1
-            (G, qc, pc, twinned, tol, max_iter), (ascent, _) = calls[0]
-            assert (tol, max_iter) == (1e-15, 500) and twinned.all()
+            (G, qc, pc, tol, max_iter), (ascent, _) = calls[0]
+            assert (tol, max_iter) == (1e-15, 500)
             pairs = list(itertools.product(EXPONENTS, EXPONENTS))
             assert list(zip(qc, pc)) == pairs
             # column c is the direction of pair c's grid value, signs applied
@@ -686,8 +697,7 @@ def _full_grid_table(A, qs, ps, resolution, polish):
     if polish and n_y > 1:
         G = (start * patterns[sign_of]).reshape(-1, n_y).T
         ascent, _ = opnorm._ascent_batch(E, mu, nu, G, np.repeat(q_vals, p_vals.size),
-                                         np.tile(p_vals, len(q_vals)),
-                                         np.ones(values.size, dtype=bool), 1e-15, 500)
+                                         np.tile(p_vals, len(q_vals)), 1e-15, 500)
         values = np.maximum(values, ascent)
     table = dict(zip(itertools.product(q_vals, p_vals.tolist()), values.tolist()))
     return {(qv, p): table[(qv, p)] for qv in qs for p in ps}
