@@ -154,8 +154,7 @@ def _row_norms(V: np.ndarray, w: np.ndarray, ps: np.ndarray) -> np.ndarray:
         out[:, ~inf] = _finite_norms(absv, mx, w, ps[~inf])
         return out
     out = np.ascontiguousarray(_finite_norms(absv, mx, w, ps))
-    np.copyto(out, mx, where=inf)
-    return out
+    return np.where(inf, mx, out) if n_inf else out
 
 
 def _finite_norms(absv: np.ndarray, mx: np.ndarray, w: np.ndarray,
@@ -182,10 +181,11 @@ def _log_table(absx: np.ndarray) -> tuple:
 
 def _col_norms(X: np.ndarray, w: np.ndarray, ps: np.ndarray) -> tuple:
     """``_row_norms(X.T, w, ps[:, None])[:, 0]`` bit for bit, by the
-    kernel's arithmetic on the kernel's layout, and the log table of ``|X|``
-    (``None`` when every exponent is INFINITY).  Callers run it under
-    ``np.errstate(divide="ignore", invalid="ignore")``, as INFINITY columns
-    run the finite formula before they take their maxima."""
+    kernel's arithmetic on the kernel's layout (``_root_stage`` on ``logs.T``
+    gives these bits, 3-7% slower in the ascent), and the log table of
+    ``|X|`` (``None`` when every exponent is INFINITY).  Callers hold
+    ``np.errstate(divide="ignore", invalid="ignore")``: INFINITY columns run
+    the finite formula first."""
     absx = np.abs(X, order="C" if X.shape[0] < _NARROW else "F")
     inf = np.isinf(ps)
     n_inf = np.count_nonzero(inf)
@@ -215,7 +215,9 @@ def _root_stage(logs: np.ndarray, mx: np.ndarray, w: np.ndarray,
     # numpy roots a lone exponent 2 with the correctly rounded sqrt but
     # several with pow; sqrt for every p = 2 keeps each norm independent of
     # which exponents share the call
-    np.sqrt(sums, out=out, where=ps == 2.0)
+    two = ps == 2.0
+    if two.any():
+        np.sqrt(sums, out=out, where=two)
     out *= mx
     return out
 

@@ -143,11 +143,11 @@ def _exponent_classes(ec: np.ndarray) -> list:
 
 
 def _dual_target(H: np.ndarray, logs: Optional[np.ndarray], w: np.ndarray,
-                 pa: np.ndarray, parts: list, cols: np.ndarray) -> np.ndarray:
+                 pa: np.ndarray, parts: list) -> np.ndarray:
     """Columnwise ascent direction of the weighted p-norm at H (unscaled).
-    Each class in ``parts`` runs on the whole block, as no column depends on
-    another, and is kept on its own columns (``cols`` are H's batch
-    columns); ``logs`` is H's log table."""
+    Each class in ``parts`` (the ``_exponent_classes`` of ``pa``) runs on
+    the whole block, as no column depends on another, and is kept on its
+    own columns; ``logs`` is H's log table."""
     U = None
     for cls, mask in parts:
         if cls == _ONE:
@@ -158,12 +158,11 @@ def _dual_target(H: np.ndarray, logs: Optional[np.ndarray], w: np.ndarray,
             V[k, j] = np.sign(H[k, j])
         else:
             V = w[:, None] * np.exp(logs * (pa - 1.0)) * np.sign(H)
-        U = V if U is None else np.where(mask[cols], V, U)
+        U = V if U is None else np.where(mask, V, U)
     return U
 
 
-def _dual_source(Z: np.ndarray, w: np.ndarray, qa: np.ndarray, parts: list,
-                 cols: np.ndarray) -> np.ndarray:
+def _dual_source(Z: np.ndarray, w: np.ndarray, qa: np.ndarray, parts: list) -> np.ndarray:
     """Columnwise maximizer of <z, g> over the weighted q-unit sphere, class
     by class as in ``_dual_target``."""
     G = None
@@ -180,7 +179,7 @@ def _dual_source(Z: np.ndarray, w: np.ndarray, qa: np.ndarray, parts: list,
             B = np.exp(logs * (1.0 / (qa - 1.0))) * np.sign(Z)
             norms = _col_norms(B, w, qa)[0]
             V = B / np.where(norms == 0.0, 1.0, norms)
-        G = V if G is None else np.where(mask[cols], V, G)
+        G = V if G is None else np.where(mask, V, G)
     return G
 
 
@@ -214,10 +213,10 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     below ``tol``, when it stops improving for three steps (dual-map
     two-cycles at the corner exponents), or when its pullback dies.
 
-    Each side's exponent class (1, INFINITY or finite) is fixed once per
-    batch; each class evaluates its formula on the whole active block and
-    keeps it on its own columns, and the target norm and duality map share
-    one ``log(|H|/M)`` table.
+    Each side's exponent classes (1, INFINITY or finite) are found once per
+    batch; each class that an active column still has evaluates its formula
+    on the whole active block and keeps it on its own columns, and the
+    target norm and duality map share one ``log(|H|/M)`` table.
 
     A column's value and witness do not depend on which columns, exponent
     classes or batch sizes share the call.  ``measure._col_norms`` gives
@@ -235,6 +234,9 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
         if X.shape[1] == 1:
             return (M @ X.repeat(2, axis=1))[:, :1]
         return M @ X
+
+    def classes(parts: list, ec: np.ndarray) -> list:  # of the active columns
+        return parts if len(parts) == 1 else _exponent_classes(ec)
 
     q_parts, p_parts = _exponent_classes(qc), _exponent_classes(pc)
     n_cols = G.shape[1]
@@ -265,13 +267,13 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
             if not keep.any():
                 break
             logs = None if logs is None else logs[:, keep]
-            U = _dual_target(H[:, keep], logs, mu, pa[keep], p_parts, idx[keep])
+            U = _dual_target(H[:, keep], logs, mu, pa[keep], classes(p_parts, pa[keep]))
             Z = product(E.T, U)
             alive = np.abs(Z).max(axis=0) > 0.0
             idx = idx[keep][alive]
             if idx.size == 0:
                 break
-            G[:, idx] = _dual_source(Z[:, alive], nu, qc[idx], q_parts, idx)
+            G[:, idx] = _dual_source(Z[:, alive], nu, qc[idx], classes(q_parts, qc[idx]))
     return best, best_G
 
 
@@ -310,9 +312,13 @@ def _cached_starts(n: int, restarts: int, seed: int) -> np.ndarray:
 
 
 #: most sign vectors a corner witness block or the pullback starts enumerate
-#: (2**(n-1) at n = 13).  The INFINITY -> 1 norm is NP-hard in general
-#: (Rohn 2000), so a larger signed operator runs the ascent there
+#: (2**(n-1) at n = 13).  The INFINITY -> 1 norm is NP-hard (Rohn 2000), so a
+#: larger signed operator runs the ascent there.  Near the cap the pullbacks
+#: dominate: ``minimal_constant`` of a signed 13 x 3 operator on 17 x 17 grids
+#: takes 11-12 s, against 0.2 s without them (one x86-64 core)
 _SIGN_CAP = 4096
+#: most ascent columns of one ``minimal_constant`` batch, to bound its memory
+_BATCH_COLUMNS = 1 << 15
 
 
 @functools.lru_cache(maxsize=16)
@@ -344,7 +350,7 @@ def _corner_witnesses(A: MatrixOperator, q: float, p: float) -> Optional[np.ndar
     def dual(Z: np.ndarray) -> np.ndarray:  # maximizers of <z, g> on the q-sphere
         qa = np.full(Z.shape[1], q)
         with np.errstate(divide="ignore"):  # log(0) = -inf
-            return _dual_source(Z, nu, qa, _exponent_classes(qa), np.arange(qa.size))
+            return _dual_source(Z, nu, qa, _exponent_classes(qa))
 
     if q == 1.0:
         return np.diag(1.0 / nu)
@@ -426,9 +432,8 @@ def op_norm_lower(A: MatrixOperator, q: float, p: float, restarts: int = 32,
                             exact=True)
     if not A.is_nonnegative():
         G = np.hstack([G, _pullback_starts(A)])
-    n_cols = G.shape[1]
-    best, best_G = _ascent_batch(E, mu, nu, G, np.full(n_cols, q), np.full(n_cols, p),
-                                 tol, max_iter)
+    qc, pc = np.full((2, G.shape[1]), [[q], [p]])
+    best, best_G = _ascent_batch(E, mu, nu, G, qc, pc, tol, max_iter)
     k = int(np.argmax(best))
     return AscentResult(float(best[k]), GridFunction(A.source, best_G[:, k].copy()))
 
@@ -611,9 +616,7 @@ def op_norm_oracle_table(A: MatrixOperator, qs: Sequence[float],
                          "pass allow_large=True to override")
     if resolution < 2 and n_y > 1:
         raise ValueError("resolution must be >= 2")
-    E = A.entries
-    mu = A.target.weights
-    nu = A.source.weights
+    E, mu, nu = A.entries, A.target.weights, A.source.weights
     if not (E.any() and qs and ps):
         return {(qv, p): 0.0 for qv in qs for p in ps}
 
@@ -623,10 +626,7 @@ def op_norm_oracle_table(A: MatrixOperator, qs: Sequence[float],
     p_vals = np.array(sorted(set(ps)))
     qn = [_oracle_qnorms(base, nu, qv, res) for qv in q_vals]
 
-    if A.is_nonnegative():
-        patterns = np.ones((1, n_y))
-    else:
-        patterns = _sign_vectors(n_y).T
+    patterns = np.ones((1, n_y)) if A.is_nonnegative() else _sign_vectors(n_y).T
 
     # classical extremizer candidates: the constant direction and every
     # basis direction (cube corners and spikes of the source unit balls)
@@ -825,13 +825,12 @@ def minimal_constant(A: MatrixOperator, sigma: float, p_grid: Sequence[float],
     ``samples`` seeded random sign vectors join the constant and basis
     starts of the inner ascent of every remaining (q, p) pair, and a start
     drawn twice runs once (see ``_ascent_starts``); a signed operator adds
-    the pullback starts, as ``op_norm_lower`` does.  All pairs run as one
-    batched ascent with the same start block, class-uniform when the grid
-    collapses to a corner (every magic and random ensemble instance), with
-    class masks built once otherwise.  The ascent is batch-invariant (see
-    ``_ascent_batch``), so on sources and targets of up to 12 points each
-    pair gets the bits of its own ``op_norm_lower`` ascent with the same
-    seed.  Ties resolve toward the lexicographically
+    the pullback starts, as ``op_norm_lower`` does.  The pairs share one
+    start block; a batched ascent runs as many whole pairs as fit in
+    ``_BATCH_COLUMNS`` columns, and at least one.  The ascent is
+    batch-invariant (see ``_ascent_batch``), so on sources and targets of
+    up to 12 points each pair gets the bits of its own ``op_norm_lower``
+    ascent with the same seed.  Ties resolve toward the lexicographically
     smallest remaining (p, q); on a collapsed axis that is its corner.  The
     zero matrix reports 0 at the smallest (p, q) of the full grids.
     """
@@ -852,12 +851,12 @@ def minimal_constant(A: MatrixOperator, sigma: float, p_grid: Sequence[float],
     if not A.is_nonnegative():
         starts = np.hstack([starts, _pullback_starts(A)])
     n_starts = starts.shape[1]
-    G = np.tile(starts, len(pairs))
-    pc = np.repeat([p for p, _ in pairs], n_starts)
-    qc = np.repeat([qv for _, qv in pairs], n_starts)
-    best, _ = _ascent_batch(A.entries, A.target.weights, A.source.weights,
-                            G, qc, pc, tol, max_iter)
-    per_pair = best.reshape(len(pairs), n_starts).max(axis=1)
+    per_pair, step = [], max(1, _BATCH_COLUMNS // n_starts)
+    for chunk in (pairs[i:i + step] for i in range(0, len(pairs), step)):
+        pc, qc = np.repeat(np.array(chunk).T, n_starts, axis=1)
+        best, _ = _ascent_batch(A.entries, A.target.weights, A.source.weights,
+                                np.tile(starts, len(chunk)), qc, pc, tol, max_iter)
+        per_pair.extend(best.reshape(len(chunk), n_starts).max(axis=1))
 
     best_val = -INFINITY
     best_p = best_q = p_pts[0]

@@ -172,6 +172,16 @@ class TestAscentStarts:
                     assert got.value == want
                     assert (got.argmax_p, got.argmax_q) == arg
 
+    def test_minimal_constant_batches_keep_its_value(self, monkeypatch):
+        # one exponent pair per batch gives the bits of one batch for all
+        grids = [(exponent_grid(4, 8, 5), exponent_grid(1, 2, 5)), (EXPONENTS, EXPONENTS)]
+        for A in _start_operators():
+            for p_grid, q_grid in grids:
+                want = minimal_constant(A, 0.8, p_grid, q_grid, samples=8, seed=2)
+                with monkeypatch.context() as mp:
+                    mp.setattr(opnorm, "_BATCH_COLUMNS", 1)
+                    assert minimal_constant(A, 0.8, p_grid, q_grid, samples=8, seed=2) == want
+
     def test_minimal_constant_matches_per_pair_ascents(self):
         sigma = 2.0
         p_grid, q_grid = exponent_grid(4, 8, 5), exponent_grid(1, 2, 5)
@@ -325,6 +335,21 @@ class TestAscentStep:
             assert np.array_equal(got[1], want[1]), (E.shape, qc, pc)
             count += 1
         assert count == 8 * 2 * (25 + 4)
+
+    def test_infinity_columns_outlast_the_finite_ones(self):
+        # the 1 -> 2 column starts at its fixed point and stalls at once; the
+        # 1 -> INFINITY column climbs a column-max/row-max chain through all
+        # four columns, so its later steps have no finite-p column beside it
+        E = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 3.0, 4.0, 0.0],
+                      [0.0, 0.0, 5.0, 6.0], [0.0, 0.0, 0.0, 7.0]])
+        w = np.ones(4)
+        G, qc, pc = np.eye(4)[:, [3, 0]], np.ones(2), np.array([2.0, INFINITY])
+        best, best_G = opnorm._ascent_batch(E, w, w, G.copy(), qc, pc, 1e-12, 200)
+        assert best[1] == 7.0 and best_G[:, 1].tolist() == [0.0, 0.0, 0.0, 1.0]
+        for c in range(2):
+            alone = opnorm._ascent_batch(E, w, w, G[:, [c]], qc[[c]], pc[[c]], 1e-12, 200)
+            assert best[c] == alone[0][0]
+            assert np.array_equal(best_G[:, c], alone[1][:, 0])
 
     def test_gemm_columns_do_not_depend_on_their_batch(self):
         # the BLAS property the ascent's products rely on: with a lone column
