@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .fenchel import tail_bound_check
-from .genfun import generating_function_from_spec
+from .genfun import ExponentInterval, generating_function_from_spec
 from .gls import default_grid, exponent_grid, fundamental_function, gls_norm
 from .magic import (check_super_exact, entries_from_spec, make_doubly_even,
                     make_siamese, make_uniform_magic, square_from_spec,
@@ -53,6 +53,14 @@ def _parse_pair(text: str, option: str) -> tuple:
         return (_parse_exponent(a), _parse_exponent(b))
     except ValueError:
         raise ValueError(f"{option} takes exponents as a:b, got {text!r}") from None
+
+
+def _parse_interval(text: str, option: str) -> ExponentInterval:
+    """An exponent interval ``a:b`` with ``1 <= a < b``; else an error naming ``option``."""
+    try:
+        return ExponentInterval(*_parse_pair(text, option))
+    except ValueError as exc:
+        raise ValueError(f"{option} {text!r}: {exc}") from None
 
 
 def _jsonable(obj):
@@ -189,10 +197,10 @@ def _cmd_opnorm(args) -> int:
 
 def _cmd_minimal_constant(args) -> int:
     A = operator_from_spec(_load_json(args.matrix))
-    a, b = _parse_pair(args.p_interval, "--p-interval")
-    c, d = _parse_pair(args.q_interval, "--q-interval")
-    p_pts = exponent_grid(a, b, args.grid_points)
-    q_pts = exponent_grid(c, d, args.grid_points)
+    P = _parse_interval(args.p_interval, "--p-interval")
+    Q = _parse_interval(args.q_interval, "--q-interval")
+    p_pts = exponent_grid(P.a, P.b, args.grid_points)
+    q_pts = exponent_grid(Q.a, Q.b, args.grid_points)
     res = minimal_constant(A, args.sigma, p_pts, q_pts,
                            samples=args.samples, seed=args.seed)
     result = {"cbar": res.value, "argmax_p": res.argmax_p, "argmax_q": res.argmax_q}

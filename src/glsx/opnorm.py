@@ -438,62 +438,40 @@ def op_norm_lower(A: MatrixOperator, q: float, p: float, restarts: int = 32,
     return AscentResult(float(best[k]), GridFunction(A.source, best_G[:, k].copy()))
 
 
-def _angles_to_directions(angles: np.ndarray) -> np.ndarray:
-    """Spherical map from angles to nonnegative unit directions.
-
-    Column ``j`` of ``angles`` (shape ``(d, N)``) holds the angles of one
-    direction, column ``j`` of the ``(d + 1, N)`` result its coordinates:
-    ``cos(a_i)`` times the product of the earlier sines, taken in order.
-    """
-    G = np.ones((angles.shape[0] + 1, angles.shape[1]))
-    np.cos(angles, out=G[:-1])
-    sines = np.sin(angles)
-    G[1:] *= np.cumprod(sines, axis=0, out=sines)
+@functools.lru_cache(maxsize=8)
+def _oracle_directions(n: int, resolution: int) -> np.ndarray:
+    """Read-only nonnegative unit directions of an n-dimensional source, one
+    per column: the spherical map of the ``(resolution,) * (n-1)`` grid of
+    angles on [0, pi/2], in C order.  Coordinate i is ``cos(a_i)`` times
+    the product of the earlier sines; the last has no cosine."""
+    if n == 1:
+        G = np.ones((1, 1))
+    else:
+        theta = np.linspace(0.0, math.pi / 2.0, int(resolution))
+        angles = np.reshape(np.meshgrid(*[theta] * (n - 1), indexing="ij"),
+                            (n - 1, -1))
+        G = np.ones((n, angles.shape[1]))
+        np.cos(angles, out=G[:-1])
+        sines = np.sin(angles)
+        G[1:] *= np.cumprod(sines, axis=0, out=sines)
+    G.flags.writeable = False
     return G
 
 
-_DIRECTION_CACHE: dict = {}
-_QNORM_CACHE: dict = {}
-
-
-def _oracle_directions(n: int, resolution: int) -> np.ndarray:
-    """Cached nonnegative direction grid for an n-dimensional source."""
-    key = (n, resolution)
-    base = _DIRECTION_CACHE.get(key)
-    if base is None:
-        if n == 1:
-            base = np.ones((1, 1))
-        else:
-            theta = np.linspace(0.0, math.pi / 2.0, int(resolution))
-            angles = np.reshape(np.meshgrid(*[theta] * (n - 1), indexing="ij"),
-                                (n - 1, -1))
-            base = _angles_to_directions(angles)
-        # glsx runs each oracle on one thread, but a caller may run oracles
-        # on several; any of them may clear the cache at any time, so the
-        # value is returned from this local and never re-read from the dict
-        if len(_DIRECTION_CACHE) >= 8:
-            _DIRECTION_CACHE.clear()
-        _DIRECTION_CACHE[key] = base
-    return base
-
-
-def _oracle_qnorms(base: np.ndarray, nu: np.ndarray, q: float,
-                   resolution: int) -> tuple:
-    """Cached q-norms of the direction grid and their minimum per grid block
-    (see ``_oracle_blocks``)."""
-    key = (base.shape[0], resolution, nu.tobytes(), q)
-    cached = _QNORM_CACHE.get(key)
-    if cached is None:
-        qn = _row_norms(base.T, nu, np.array([q]))[:, 0]
-        qmin = qn.reshape((resolution,) * (base.shape[0] - 1))
-        starts = np.arange(0, resolution, _BLOCK)
-        for axis in range(qmin.ndim):
-            qmin = np.minimum.reduceat(qmin, starts, axis=axis)
-        cached = (qn, qmin.ravel())
-        if len(_QNORM_CACHE) >= 32:
-            _QNORM_CACHE.clear()
-        _QNORM_CACHE[key] = cached
-    return cached
+@functools.lru_cache(maxsize=32)
+def _oracle_qnorms(n: int, resolution: int, nu: bytes, q: float) -> tuple:
+    """Read-only q-norms of the direction grid under the source weights
+    (``nu.tobytes()``) and their minimum per grid block (see
+    ``_oracle_blocks``)."""
+    qn = _row_norms(_oracle_directions(n, resolution).T, np.frombuffer(nu),
+                    np.array([q]))[:, 0]
+    qmin = qn.reshape((resolution,) * (n - 1))
+    starts = np.arange(0, resolution, _BLOCK)
+    for axis in range(qmin.ndim):
+        qmin = np.minimum.reduceat(qmin, starts, axis=axis)
+    qmin = qmin.ravel()
+    qn.flags.writeable = qmin.flags.writeable = False
+    return qn, qmin
 
 
 #: elements of the kernel's (columns, exponents, target) temporary per chunk
@@ -597,10 +575,14 @@ def op_norm_oracle_table(A: MatrixOperator, qs: Sequence[float],
     kernel only on the blocks of columns that could hold some pair's grid
     argmax (see ``_grid_survivors``).  One kernel call per chunk of those
     columns evaluates every distinct p, so ``log|Ag|`` is taken once and
-    only ``exp`` repeats per exponent.  The polish is one duality ascent
-    (``_ascent_batch``, ``tol`` 1e-15, at most 500 steps) over every pair,
-    each started from its best grid or classical candidate direction with
-    its sign pattern applied; a pair keeps the larger of its grid and ascent
+    only ``exp`` repeats per exponent.  Each chunk, and after the grid the
+    classical candidates (the constant and basis directions), fold into
+    each pair's best value, direction and sign pattern; a value replaces
+    the best only when strictly larger, so a tie keeps the earlier pattern,
+    the grid over a candidate and the lower index.  The polish is one
+    duality ascent (``_ascent_batch``, ``tol`` 1e-15, at most 500 steps)
+    over every pair, each started from its best direction with its sign
+    pattern applied; a pair keeps the larger of its grid and ascent
     values.  The ascent and the kernel are batch-invariant, so on sources
     and targets of up to 12 points a pair's value does not depend on which
     other pairs share the call.  The start is the grid argmax, not one of
@@ -624,14 +606,14 @@ def op_norm_oracle_table(A: MatrixOperator, qs: Sequence[float],
     base = _oracle_directions(n_y, res)
     q_vals = sorted(set(qs))
     p_vals = np.array(sorted(set(ps)))
-    qn = [_oracle_qnorms(base, nu, qv, res) for qv in q_vals]
+    qn = [_oracle_qnorms(n_y, res, nu.tobytes(), qv) for qv in q_vals]
 
     patterns = np.ones((1, n_y)) if A.is_nonnegative() else _sign_vectors(n_y).T
 
     # classical extremizer candidates: the constant direction and every
     # basis direction (cube corners and spikes of the source unit balls)
     extra = np.hstack([np.ones((n_y, 1)) / math.sqrt(n_y), np.eye(n_y)])
-    extra_qn = _row_norms(extra.T, nu, np.array(q_vals))
+    extra_qn = _row_norms(extra.T, nu, np.array(q_vals)).T
 
     # best value, direction and sign pattern per (q, p) over all patterns
     shape = (len(q_vals), p_vals.size)
@@ -639,37 +621,33 @@ def op_norm_oracle_table(A: MatrixOperator, qs: Sequence[float],
     best = np.full(shape, -1.0)
     start = np.zeros(shape + (n_y,))
     sign_of = np.zeros(shape, dtype=int)
+
+    def take(pn: np.ndarray, qns, dirs: np.ndarray, s: int) -> None:
+        """Fold the ratios of p-norms ``pn`` (p, column) to the q-norms
+        ``qns[i]`` of the directions ``dirs`` into the running best."""
+        vals = np.empty(pn.shape)  # row-major, so argmax runs along rows
+        for i, qn_i in enumerate(qns):
+            np.divide(pn, qn_i, out=vals)
+            k = vals.argmax(axis=1)
+            v = vals[cols, k]
+            up = v > best[i]
+            if up.any():
+                best[i, up] = v[up]
+                start[i, up] = dirs[:, k[up]].T
+                sign_of[i, up] = s
+
     step = math.pi / 2.0 / (res - 1) if n_y > 1 else 0.0
     chunk = max(1, _GRID_CHUNK // (p_vals.size * E.shape[0]))
     for s, sign in enumerate(patterns):
         Es = E * sign[None, :]
-        grid_best = np.full(shape, -1.0)
-        grid_arg = np.zeros(shape, dtype=int)
         sel = _grid_survivors(Es, base, mu, nu, p_vals, qn, best, res, step)
         # survivors run in ascending grid index, so first-index ties hold
         for lo in range(0, base.shape[1] if sel is None else sel.size, chunk):
             at = slice(lo, lo + chunk) if sel is None else sel[lo:lo + chunk]
-            pn = _row_norms(_term_products(Es, base[:, at]).T, mu, p_vals).T
-            vals = np.empty(pn.shape)  # row-major, so argmax runs along rows
-            for i, (qn_i, _) in enumerate(qn):
-                np.divide(pn, qn_i[at], out=vals)
-                k = vals.argmax(axis=1)
-                v = vals[cols, k]
-                up = v > grid_best[i]
-                grid_best[i, up] = v[up]
-                grid_arg[i, up] = lo + k[up] if sel is None else at[k[up]]
-        up = grid_best > best
-        best[up] = grid_best[up]
-        start[up] = base[:, grid_arg[up]].T
-        sign_of[up] = s
-        evals = (_row_norms((Es @ extra).T, mu, p_vals)[:, None, :]
-                 / extra_qn[:, :, None])
-        k = evals.argmax(axis=0)
-        v = np.take_along_axis(evals, k[None], axis=0)[0]
-        up = v > best
-        best[up] = v[up]
-        start[up] = extra[:, k[up]].T
-        sign_of[up] = s
+            dirs = base[:, at]
+            pn = _row_norms(_term_products(Es, dirs).T, mu, p_vals).T
+            take(pn, [qn_i[at] for qn_i, _ in qn], dirs, s)
+        take(_row_norms((Es @ extra).T, mu, p_vals).T, extra_qn, extra, s)
 
     values = best.ravel()
     if polish and n_y > 1:

@@ -184,6 +184,13 @@ class TestBasicCommands:
                     "--output", out_path(inputs, "t.csv")])
         assert code == 2
 
+    def test_fenchel_tail_cannot_normalize_zero(self, inputs, capsys):
+        zero = inputs["dir"] / "zero.json"
+        zero.write_text(json.dumps({"values": [0.0, 0.0, 0.0]}))
+        assert run(["fenchel-tail", "--function", str(zero), "--psi", inputs["psi"],
+                    "--t", "e", "--normalize", "--output", out_path(inputs, "t.csv")]) == 2
+        assert "cannot normalize the zero function" in capsys.readouterr().err
+
     def test_opnorm_ascent_and_oracle(self, inputs, capsys):
         code = run(["opnorm", "--matrix", inputs["A"], "--q", "2", "--p", "4",
                     "--output", out_path(inputs, "o1.json")])
@@ -312,6 +319,17 @@ class TestVerifyCommands:
         assert config["r_norm"] == json.loads(open(inputs["R"]).read())
         assert len(config["p_points"]) == len(config["q_points"]) == 17
 
+    def test_verify_theorem2_warns_on_unordered_supports(self, inputs, capsys):
+        # W's interval [1.5, 3] starts below the end of R's [1, 2]: a warning, not an error
+        W = inputs["dir"] / "W15.json"
+        W.write_text(json.dumps({"kind": "integral", "s": 1, "weight": "const",
+                                 "interval": [1.5, 3]}))
+        assert run(["verify-theorem2", "--matrix", inputs["A"], "--w-norm", str(W),
+                    "--r-norm", inputs["R"], "--sigma", "3", "--samples", "50",
+                    "--output", out_path(inputs, "v2w.json")]) == 0
+        assert capsys.readouterr().err.startswith(
+            "warning: moment supports are not ordered")
+
     def test_failed_certificate_report_keeps_config(self, inputs, capsys):
         out = out_path(inputs, "vfail.json")
         code = run(["verify-theorem1", "--matrix", inputs["A"], "--psi",
@@ -399,6 +417,17 @@ class TestMagicCommands:
     def test_singly_even_rejected(self, inputs):
         assert run(["magic", "--order", "6",
                     "--output", out_path(inputs, "x.json")]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["magic"], "either --order or a square JSON file is required"),
+        (["check-super-exact", "--pairs", "1:2"],
+         "either --order or a square JSON file is required"),
+        (["magic", "--order", "3", "--kind", "uniform"],
+         "--alpha is required for uniform squares"),
+    ], ids=["magic", "check-super-exact", "uniform-without-alpha"])
+    def test_square_options_are_required(self, inputs, capsys, argv, message):
+        assert run([*argv, "--output", out_path(inputs, "x.json")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestErrorHandling:
@@ -608,6 +637,11 @@ class TestErrorHandling:
                   "--seed"),
                  ([*mc, "--p-interval", "4,8", "--q-interval", "1:2"], "--p-interval"),
                  ([*mc, "--p-interval", "4:8", "--q-interval", "1:x"], "--q-interval"),
+                 # an empty or reversed interval, or one below 1, is not a grid
+                 ([*mc, "--p-interval", "8:4", "--q-interval", "1:2"], "--p-interval"),
+                 ([*mc, "--p-interval", "4:4", "--q-interval", "1:2"], "--p-interval"),
+                 ([*mc, "--p-interval", "0.5:2", "--q-interval", "1:2"], "--p-interval"),
+                 ([*mc, "--p-interval", "4:8", "--q-interval", "inf:inf"], "--q-interval"),
                  (["check-super-exact", "--order", "3", "--pairs", "1:2,4,8"], "--pairs"),
                  (["magic", "--order", "3", "--check-norms", "1:2:4"], "--check-norms")]
         for argv, option in cases:

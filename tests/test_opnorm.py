@@ -521,19 +521,23 @@ class TestOracle:
             pytest.approx(expected, rel=1e-6)
         assert op_norm_lower(A, 2, 2).value == pytest.approx(expected, rel=1e-9)
 
-    def test_caches_survive_concurrent_clear(self, monkeypatch):
-        # an oracle on another thread may clear a cache between the write and
-        # the read; model it with dicts that empty themselves on every write
-        class ClearingDict(dict):
-            def __setitem__(self, key, value):
-                super().__setitem__(key, value)
-                self.clear()
-
-        A = MatrixOperator.on_counting([[1.0, 2.0], [0.5, 1.0]])
-        want = op_norm_oracle(A, 2, 4, resolution=90)
-        monkeypatch.setattr(opnorm, "_DIRECTION_CACHE", ClearingDict())
-        monkeypatch.setattr(opnorm, "_QNORM_CACHE", ClearingDict())
-        assert op_norm_oracle(A, 2, 4, resolution=90) == want
+    def test_caches_are_read_only_and_clearing_them_keeps_the_table(self):
+        # the cached grid and q-norms are shared by every call, so no caller
+        # may write them, and rebuilding them gives the same bits
+        A = MatrixOperator(np.array([[1.0, -2.0], [0.5, 1.0]]), MeasureSpace([1.0, 0.3]),
+                           MeasureSpace([0.5, 2.0]))
+        want = op_norm_oracle_table(A, EXPONENTS, EXPONENTS, resolution=90)
+        nu = A.source.weights.tobytes()
+        cached = [opnorm._oracle_directions(2, 90),
+                  *opnorm._oracle_qnorms(2, 90, nu, 2.0)]
+        for array in cached:
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        opnorm._oracle_directions.cache_clear()
+        opnorm._oracle_qnorms.cache_clear()
+        got = op_norm_oracle_table(A, EXPONENTS, EXPONENTS, resolution=90)
+        assert list(got) == list(want)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
 
     def test_table_matches_single_pair_calls(self):
         # every pair searches and polishes independently of the pairs that
@@ -786,8 +790,7 @@ class TestGridPruning:
     def test_evaluates_at_most_half_of_the_grid(self, monkeypatch):
         rng = np.random.default_rng(29)
         A = MatrixOperator.on_counting(rng.uniform(-1.0, 1.0, (3, 3)))
-        monkeypatch.setattr(opnorm, "_QNORM_CACHE", {})  # room for every q-norm
-        op_norm_oracle_table(A, EXPONENTS, EXPONENTS, polish=False)  # fills it
+        op_norm_oracle_table(A, EXPONENTS, EXPONENTS, polish=False)  # fills the caches
         rows = []
         kernel = opnorm._row_norms
 
