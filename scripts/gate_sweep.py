@@ -9,10 +9,16 @@ passes at the given seeds, without timing.
 only as many passes as its speed allows, so this sweep reaches the passes a
 faster or slower build would run.  Each failing gate, or item that raises,
 is printed as ``seed, pass, item: message``; the exit code is 1 if any
-item failed and 0 otherwise.
+item failed and 0 otherwise.  The summary line ends with the digest of
+every item record the sweep ran (``None`` for an item that raised), in
+order, hashed as ``bench/run.py`` hashes a pass: one seed and one pass give
+that pass's ``digest``, and two builds that agree on it agree on every
+record of the range.
 """
 import argparse
+import hashlib
 import importlib.util
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -49,7 +55,8 @@ def main() -> int:
 
     workloads = load_workloads()
     seeds = [int(tok) for tok in args.seeds.split(",")]
-    items = failed = 0
+    failed = 0
+    records = []
     with tempfile.TemporaryDirectory() as out_dir:
         for seed in seeds:
             workload = workloads.WORKLOADS[args.workload](
@@ -57,15 +64,16 @@ def main() -> int:
             for index in pass_range(args.passes):
                 for item in workload.make_pass(index):
                     try:
-                        _, failures = item.run()
+                        record, failures = item.run()
                     except Exception as exc:  # an item that raises fails
-                        failures = [f"{type(exc).__name__}: {exc}"]
-                    items += 1
+                        record, failures = None, [f"{type(exc).__name__}: {exc}"]
+                    records.append(record)
                     failed += bool(failures)
                     for message in failures:
                         print(f"{seed}, {index}, {item.label}: {message}", flush=True)
-    print(f"{args.workload}: {items} items at seeds {args.seeds}, passes "
-          f"{args.passes}: {failed} failed")
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()[:16]
+    print(f"{args.workload}: {len(records)} items at seeds {args.seeds}, passes "
+          f"{args.passes}: {failed} failed, records {digest}")
     return 1 if failed else 0
 
 

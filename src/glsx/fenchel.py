@@ -54,10 +54,15 @@ def _conjugate_on_grid(psi: GeneratingFunction, v: float, grid: PGrid) -> SupRes
     with np.errstate(divide="ignore"):
         values = pts * v - pts * np.log(psiv)  # psi = inf -> -inf
 
+    fn = psi.fn
+
     def objective(ps: list) -> list:
         out = []
         for p in ps:
-            d = psi.eval(p)  # p * v - h_of_p(psi, p), psi evaluated once
+            # p * v - h_of_p(psi, p), psi evaluated once; the grid has no
+            # INFINITY point and its finite points lie inside psi's domain,
+            # so psi's unchecked fn serves them
+            d = float(fn(p))
             out.append(-INFINITY if math.isinf(d) else p * v - p * math.log(d))
         return out
 

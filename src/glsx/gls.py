@@ -11,10 +11,23 @@ ceiling.
 
 Objectives are list functions: they map a list of exponents to the list of
 their values, so one call serves every bracket.  The two brackets are
-refined in lockstep, one objective call per golden step.  A candidate
-replaces the incumbent when its value is strictly larger, or equal at a
-smaller exponent; this is a total order, so the result does not depend on
-which bracket offered a candidate first.
+refined in lockstep.  A candidate replaces the incumbent when its value is
+strictly larger, or equal at a smaller exponent; this is a total order, so
+the result does not depend on which bracket offered a candidate first.
+
+A golden step's next point depends only on whether ``f1 >= f2``, never on
+a value, so the ``2**d - 1`` points that the next ``d`` steps could ask
+for are known in advance.  ``_golden_max`` asks for all of them in one
+call and walks each bracket's tree with the real values: ``1 + ceil(steps
+/ d)`` calls, and the points, comparisons and result of one step per call,
+bit for bit, whenever a value does not depend on which exponents share its
+call.  ``sup_over_grid`` runs ``d = 1``: its objectives are per-point
+Python.  ``gls_norm``'s norms come from one kernel call per batch, which
+gives each norm the same bits whatever shares the call; it takes the
+deepest ``d <= 4`` whose call of two brackets stays within 2,048 kernel
+terms (``_lookahead``: ``d = 4`` up to 68 points of f, ``d = 1`` above
+341), where the saved per-call overhead outweighs the kernel's work on the
+points the walk never reads.
 
 ``gls_norm`` computes the Lp profile only at the grid points that could be
 the grid argmax or the second bracket centre; ``_grid_ratios`` states why
@@ -50,6 +63,12 @@ _CHORD_SLACK = 1e-9
 #: evenly spaced grid indices (first and last included) of the first pass
 _FIRST_PASS = 17
 _TINY = float(np.finfo(float).tiny)
+#: most golden steps one refinement call of ``gls_norm`` speculates over
+_MAX_LOOKAHEAD = 4
+#: most kernel terms (exponents x points of f) of one speculative call:
+#: lookahead 4 up to 68 points, 1 above 341, where the kernel's work on
+#: the unread exponents would cost more than the calls it saves
+_LOOKAHEAD_BUDGET = 2048
 
 
 @dataclass(frozen=True)
@@ -161,36 +180,59 @@ def grid_from_points(interval: ExponentInterval, points: Sequence[float],
     return PGrid(interval, pts, refinement_depth, include_infinity)
 
 
-def _golden_lane(lo: float, hi: float, x1: float, x2: float, f1: float,
-                 f2: float):
-    """One bracket's golden-section trajectory after its first two points.
+def _golden_tree(lo: float, hi: float, x1: float, x2: float, left: bool,
+                 depth: int, out: list) -> None:
+    """Append to ``out`` the ``2**depth - 1`` exponents that the next
+    ``depth`` golden steps of one lane could ask for, in heap order.
 
-    A generator: each step shrinks ``[lo, hi]`` toward the larger of ``f1``
-    and ``f2`` (left on ties), yields the one new exponent and receives its
-    value through ``send``.  The path depends only on the lane's own values.
+    A step shrinks ``[lo, hi]`` toward ``x1`` when ``left`` (its ``f1 >=
+    f2``) and toward ``x2`` otherwise, and asks for one new exponent; which
+    one depends only on that comparison, never on a value.  Node ``i`` is
+    the step taken in its state; its children ``2i + 1`` and ``2i + 2``
+    are the next step when the comparison after it is true and false.  The
+    arithmetic is the sequential step's, so every exponent has its bits.
     """
-    while True:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = lo + _INVPHI2 * (hi - lo)
-            f1 = yield x1
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = yield x2
+    if left:  # hi, x2, x1 = x2, x1, new
+        x = lo + _INVPHI2 * (x2 - lo)
+        state = (lo, x2, x, x1)
+    else:  # lo, x1, x2 = x1, x2, new
+        x = x1 + _INVPHI * (hi - x1)
+        state = (x1, hi, x2, x)
+    out.append(x)
+    states = [state]  # (lo, hi, x1, x2) after each node of the level
+    for _ in range(depth - 1):
+        nxt = []
+        for lo, hi, x1, x2 in states:
+            x = lo + _INVPHI2 * (x2 - lo)
+            out.append(x)
+            nxt.append((lo, x2, x, x1))
+            x = x1 + _INVPHI * (hi - x1)
+            out.append(x)
+            nxt.append((x1, hi, x2, x))
+        states = nxt
 
 
 def _golden_max(fn: Callable[[list], Sequence[float]], brackets: Sequence[tuple],
-                iters: int, best: float, best_p: float) -> tuple:
-    """Golden-section maximum search of several brackets in lockstep.
+                iters: int, best: float, best_p: float, lookahead: int) -> tuple:
+    """Golden-section maximum search of several brackets in lockstep,
+    ``lookahead`` steps per objective call.
 
     Each ``(lo, hi)`` bracket is a lane; zero-width brackets are dropped.
     ``fn`` maps a list of exponents to their values and is called once for
-    the first two points of every lane and then once per step for the one
-    new point of every lane: ``1 + iters`` calls in all.  The incumbent
-    ``(best, best_p)`` is replaced by a candidate that is strictly larger,
-    or equal at a smaller exponent.  That rule is a total order on
-    candidates, so the result does not depend on the order of the lanes.
+    the first two points of every lane.  Then each round of ``d =
+    min(lookahead, steps left)`` steps makes one call holding, for every
+    lane, the ``2**d - 1`` exponents that its next ``d`` steps could ask
+    for (``_golden_tree``): ``1 + ceil(iters / lookahead)`` calls in all.
+    Each lane then walks its tree with the real values: a step's point
+    depends only on the comparisons before it, so the walk asks for,
+    compares and keeps exactly the points of one step per call, bit for
+    bit, as long as a value does not depend on which exponents share its
+    call.  Only the walked entries of a call's result are read, each once.
+
+    The incumbent ``(best, best_p)`` is replaced by a candidate that is
+    strictly larger, or equal at a smaller exponent.  That rule is a total
+    order on candidates, so the result does not depend on the order of
+    the lanes.
     """
     brackets = [(lo, hi) for lo, hi in brackets if hi > lo]
     if not brackets or iters <= 0:
@@ -199,25 +241,45 @@ def _golden_max(fn: Callable[[list], Sequence[float]], brackets: Sequence[tuple]
     xs = ([lo + _INVPHI2 * (hi - lo) for lo, hi in brackets]
           + [lo + _INVPHI * (hi - lo) for lo, hi in brackets])
     vs = fn(xs)
-    sends = [_golden_lane(lo, hi, xs[i], xs[n + i], vs[i], vs[n + i]).send
-             for i, (lo, hi) in enumerate(brackets)]
-    for x, v in zip(xs, vs):
-        if v > best or (v == best and x < best_p):
-            best, best_p = v, x
-    xs = [send(None) for send in sends]
-    lanes = list(range(n))
-    # the step loop builds no zip, map or comprehension objects: at one or
-    # two lanes they cost more than the per-point objectives themselves
-    for _ in range(int(iters)):
-        vs = fn(xs)
-        nxt = []
-        for i in lanes:
-            x = xs[i]
-            v = vs[i]
+    lanes = []  # (lo, hi, x1, x2, f1, f2)
+    for i in range(n):
+        x1, x2, f1, f2 = xs[i], xs[n + i], vs[i], vs[n + i]
+        lanes.append((*brackets[i], x1, x2, f1, f2))
+        for x, v in ((x1, f1), (x2, f2)):
             if v > best or (v == best and x < best_p):
                 best, best_p = v, x
-            nxt.append(sends[i](v))
-        xs = nxt
+    left = int(iters)
+    # the round builds no zip, map or comprehension objects: at one or two
+    # lanes they cost more than a cheap objective itself
+    while left:
+        d = min(lookahead, left)
+        left -= d
+        size = 2 ** d - 1
+        xs = []
+        for lo, hi, x1, x2, f1, f2 in lanes:
+            if d == 1:  # the tree's root, without the call
+                xs.append(lo + _INVPHI2 * (x2 - lo) if f1 >= f2
+                          else x1 + _INVPHI * (hi - x1))
+            else:
+                _golden_tree(lo, hi, x1, x2, f1 >= f2, d, xs)
+        vs = fn(xs)
+        walked = []
+        base = 0
+        for lo, hi, x1, x2, f1, f2 in lanes:
+            j = 0
+            while j < size:
+                x = xs[base + j]
+                v = vs[base + j]
+                if f1 >= f2:
+                    hi, x2, f2, x1, f1 = x2, x1, f1, x, v
+                else:
+                    lo, x1, f1, x2, f2 = x1, x2, f2, x, v
+                if v > best or (v == best and x < best_p):
+                    best, best_p = v, x
+                j = 2 * j + 1 if f1 >= f2 else 2 * j + 2
+            walked.append((lo, hi, x1, x2, f1, f2))
+            base += size
+        lanes = walked
     return best, best_p
 
 
@@ -230,10 +292,20 @@ def sup_over_grid(objective: Callable[[list], Sequence[float]], grid: PGrid,
     ``grid.points``.  Objective values may be ``-inf`` (excluded exponents)
     but not ``+inf`` or NaN.  Refinement searches the brackets around the
     two best separated grid points in lockstep (``_golden_max``: one
-    objective call per step for both) and never lowers the discrete
-    maximum.  Ties resolve toward the smallest exponent.  The INFINITY
-    point, when the grid includes it, is asked for last and alone.
+    objective call per step for both, ``1 + grid.refinement_depth`` calls)
+    and never lowers the discrete maximum (``gls_norm`` asks for several
+    steps per call instead; see the module docstring).  Ties resolve
+    toward the smallest exponent.  The INFINITY point, when the grid
+    includes it, is asked for last and alone.
     """
+    return _sup_over_grid(objective, grid, values, 1)
+
+
+def _sup_over_grid(objective: Callable[[list], Sequence[float]], grid: PGrid,
+                   values: Optional[np.ndarray], lookahead: int) -> SupResult:
+    """``sup_over_grid`` with ``lookahead`` golden steps per refinement call
+    (see ``_golden_max``); the result does not depend on ``lookahead`` when
+    an objective value does not depend on which exponents share its call."""
     pts = grid.points_array
     if values is None:
         values = np.asarray(objective(list(grid.points)), dtype=float)
@@ -259,7 +331,7 @@ def sup_over_grid(objective: Callable[[list], Sequence[float]], grid: PGrid,
         brackets = [(grid.points[max(i - 1, 0)], grid.points[min(i + 1, last)])
                     for i in centres]
         best, best_p = _golden_max(objective, brackets, grid.refinement_depth,
-                                   best, best_p)
+                                   best, best_p, lookahead)
 
     if grid.include_infinity:
         v_inf = float(objective([INFINITY])[0])
@@ -336,8 +408,10 @@ def gls_norm(f: GridFunction, psi: GeneratingFunction,
 
     The grid pass skips the points that cannot be the argmax or the second
     bracket centre (the argument is in ``_grid_ratios``); value, argmax and
-    flag equal those of the full pass.  Raises ``ValueError`` when the Lp
-    norm of f overflows.
+    flag equal those of the full pass.  The refinement speculates
+    ``_lookahead(f.space.size)`` golden steps per kernel call (see
+    ``_golden_max``), which gives the values of one step per call.  Raises
+    ``ValueError`` when the Lp norm of f overflows.
     """
     if grid is None:
         grid = default_grid(psi)
@@ -350,18 +424,42 @@ def gls_norm(f: GridFunction, psi: GeneratingFunction,
         logs = _log_stage(absv, peak)  # shared by the grid pass and every step
     ratios = _grid_ratios(logs, peak, w, pts, psi.eval_array(pts))
 
-    def objective(ps: list) -> list:
+    def objective(ps: list) -> _Ratios:
         if ps[0] == INFINITY:  # asked for alone
-            norms = [float(peak[0, 0])]
-        else:
-            norms = _root_stage(logs, peak, w, np.array(ps))[0].tolist()
-        out = []
-        for p, norm in zip(ps, norms):
-            d = psi.eval(p)
-            out.append(0.0 if math.isinf(d) else norm / d)
-        return out
+            return _Ratios(ps, [float(peak[0, 0])], psi)
+        return _Ratios(ps, _root_stage(logs, peak, w, np.array(ps))[0].tolist(), psi)
 
-    return sup_over_grid(objective, grid, values=ratios)
+    return _sup_over_grid(objective, grid, ratios, _lookahead(f.space.size))
+
+
+def _lookahead(size: int) -> int:
+    """Golden steps per refinement call of ``gls_norm`` on an ``size``-point
+    function: the deepest ``d <= _MAX_LOOKAHEAD`` whose call of two lanes
+    of ``2**d - 1`` exponents holds at most ``_LOOKAHEAD_BUDGET`` kernel
+    terms, and at least 1."""
+    d = 1
+    while d < _MAX_LOOKAHEAD and 2 * (2 ** (d + 1) - 1) * size <= _LOOKAHEAD_BUDGET:
+        d += 1
+    return d
+
+
+class _Ratios:
+    """``norm / psi(p)`` at the exponents of one ``gls_norm`` objective
+    call, each divided when the golden walk reads it: a speculative call
+    holds up to 15 exponents per lane and the walk reads 4.  Finite
+    exponents lie inside the grid by construction, so psi's unchecked
+    ``fn`` serves them (``psi.eval`` returns ``float(fn(p))`` after
+    validating ``p``); INFINITY keeps ``psi.eval``."""
+
+    __slots__ = ("ps", "norms", "psi")
+
+    def __init__(self, ps: list, norms: list, psi: GeneratingFunction) -> None:
+        self.ps, self.norms, self.psi = ps, norms, psi
+
+    def __getitem__(self, i: int) -> float:
+        p = self.ps[i]
+        d = self.psi.eval(p) if p == INFINITY else float(self.psi.fn(p))
+        return 0.0 if math.isinf(d) else self.norms[i] / d
 
 
 def fundamental_function(psi: GeneratingFunction, delta: float,
@@ -376,11 +474,13 @@ def fundamental_function(psi: GeneratingFunction, delta: float,
     pts = grid.points_array
     psiv = psi.eval_array(pts)
     values = np.power(delta, 1.0 / pts) / psiv
+    fn = psi.fn
 
     def objective(ps: list) -> list:
         out = []
         for p in ps:
-            d = psi.eval(p)
+            # finite points lie inside the grid: psi's unchecked fn
+            d = psi.eval(p) if p == INFINITY else float(fn(p))
             # delta**0 = 1 at p = inf
             out.append(0.0 if math.isinf(d) else delta ** (1.0 / p) / d)
         return out

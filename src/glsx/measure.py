@@ -38,7 +38,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -179,17 +179,18 @@ def _log_table(absx: np.ndarray) -> tuple:
     return mx, _log_stage(absx, mx)
 
 
-def _col_norms(X: np.ndarray, w: np.ndarray, ps: np.ndarray) -> tuple:
+def _col_norms(X: np.ndarray, w: np.ndarray, ps: np.ndarray,
+               inf: Union[bool, np.ndarray]) -> tuple:
     """``_row_norms(X.T, w, ps[:, None])[:, 0]`` bit for bit, by the
     kernel's arithmetic on the kernel's layout (``_root_stage`` on ``logs.T``
     gives these bits, 3-7% slower in the ascent), and the log table of
-    ``|X|`` (``None`` when every exponent is INFINITY).  Callers hold
-    ``np.errstate(divide="ignore", invalid="ignore")``: INFINITY columns run
-    the finite formula first."""
+    ``|X|`` (``None`` when ``inf`` is ``True``).  ``inf`` marks the columns
+    whose exponent is INFINITY: a boolean mask, or one bool when every
+    column's exponent is or none is, as the caller already knows.  Callers
+    hold ``np.errstate(divide="ignore", invalid="ignore")``: INFINITY
+    columns of a mask run the finite formula first."""
     absx = np.abs(X, order="C" if X.shape[0] < _NARROW else "F")
-    inf = np.isinf(ps)
-    n_inf = np.count_nonzero(inf)
-    if n_inf == ps.size:
+    if inf is True:
         return absx.max(axis=0), None
     mx, logs = _log_table(absx)
     terms = np.exp(logs * ps)
@@ -198,7 +199,7 @@ def _col_norms(X: np.ndarray, w: np.ndarray, ps: np.ndarray) -> tuple:
     out = sums ** (1.0 / ps)
     np.sqrt(sums, out=out, where=ps == 2.0)  # as _root_stage roots every p = 2
     out *= mx
-    if n_inf:
+    if inf is not False:
         out[inf] = mx[inf]
     return out, logs
 

@@ -42,7 +42,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -142,6 +142,15 @@ def _exponent_classes(ec: np.ndarray) -> list:
     return [(c, m) for c, m in ((_ONE, one), (_INF, inf), (_FINITE, ~(one | inf))) if m.any()]
 
 
+def _inf_columns(parts: list) -> Union[bool, np.ndarray]:
+    """The INFINITY columns of a batch side, for ``measure._col_norms``,
+    from its ``_exponent_classes``: one bool when the side has one class,
+    else the INFINITY class's mask (``False`` when it has none)."""
+    if len(parts) == 1:
+        return parts[0][0] == _INF
+    return next((mask for cls, mask in parts if cls == _INF), False)
+
+
 def _dual_target(H: np.ndarray, logs: Optional[np.ndarray], w: np.ndarray,
                  pa: np.ndarray, parts: list) -> np.ndarray:
     """Columnwise ascent direction of the weighted p-norm at H (unscaled).
@@ -177,18 +186,21 @@ def _dual_source(Z: np.ndarray, w: np.ndarray, qa: np.ndarray, parts: list) -> n
         else:
             logs = _log_table(np.abs(Z) / w[:, None])[1]
             B = np.exp(logs * (1.0 / (qa - 1.0))) * np.sign(Z)
-            norms = _col_norms(B, w, qa)[0]
+            norms = _col_norms(B, w, qa, _inf_columns(parts))[0]
             V = B / np.where(norms == 0.0, 1.0, norms)
         G = V if G is None else np.where(mask, V, G)
     return G
 
 
 def _ratios(H: np.ndarray, G: np.ndarray, mu: np.ndarray, nu: np.ndarray,
-            qa: np.ndarray, pa: np.ndarray) -> tuple:
+            qa: np.ndarray, pa: np.ndarray, q_inf: Union[bool, np.ndarray],
+            p_inf: Union[bool, np.ndarray]) -> tuple:
     """Columnwise ratios ``|H|_p / |G|_q`` of products ``H = A G`` (0 for a
-    zero column of G), and H's log table (``None`` if every p is INFINITY)."""
-    gn = _col_norms(G, nu, qa)[0]
-    hn, logs = _col_norms(H, mu, pa)
+    zero column of G), and H's log table (``None`` if ``p_inf`` is
+    ``True``); ``q_inf`` and ``p_inf`` mark the INFINITY columns as
+    ``measure._col_norms`` takes them."""
+    gn = _col_norms(G, nu, qa, q_inf)[0]
+    hn, logs = _col_norms(H, mu, pa, p_inf)
     return hn / np.where(gn > 0.0, gn, INFINITY), logs
 
 
@@ -238,7 +250,11 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     def classes(parts: list, ec: np.ndarray) -> list:  # of the active columns
         return parts if len(parts) == 1 else _exponent_classes(ec)
 
+    def active(inf):  # a side's INFINITY columns among the active ones
+        return inf if isinstance(inf, bool) else inf[idx]
+
     q_parts, p_parts = _exponent_classes(qc), _exponent_classes(pc)
+    q_inf, p_inf = _inf_columns(q_parts), _inf_columns(p_parts)
     n_cols = G.shape[1]
     best = np.zeros(n_cols)
     prev = np.full(n_cols, -1.0)
@@ -246,14 +262,14 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     idx = np.arange(n_cols)
     # log(0) = -inf; a mixed side's formulas also run on other classes' columns
     with np.errstate(divide="ignore", invalid="ignore"):
-        g0 = _col_norms(G, nu, qc)[0]
+        g0 = _col_norms(G, nu, qc, q_inf)[0]
         G = G / np.where(g0 > 0.0, g0, 1.0)
         best_G = G.copy()
         for _ in range(int(max_iter)):
             Ga = G[:, idx]
             qa, pa = qc[idx], pc[idx]
             H = product(E, Ga)
-            ratio, logs = _ratios(H, Ga, mu, nu, qa, pa)
+            ratio, logs = _ratios(H, Ga, mu, nu, qa, pa, active(q_inf), active(p_inf))
 
             improved = ratio > best[idx]
             cols = idx[improved]
@@ -426,7 +442,7 @@ def op_norm_lower(A: MatrixOperator, q: float, p: float, restarts: int = 32,
     if W is not None:
         qa, pa = np.full(W.shape[1], q), np.full(W.shape[1], p)
         with np.errstate(divide="ignore", invalid="ignore"):  # log(0) = -inf
-            ratio = _ratios(E @ W, W, mu, nu, qa, pa)[0]
+            ratio = _ratios(E @ W, W, mu, nu, qa, pa, is_infinite(q), is_infinite(p))[0]
         k = int(np.argmax(ratio))
         return AscentResult(float(ratio[k]), GridFunction(A.source, W[:, k].copy()),
                             exact=True)

@@ -253,9 +253,9 @@ def _sequential_golden_max(fn, lo, hi, iters, best, best_p):
     return best, best_p
 
 
-def _sequential_engine(fn, brackets, iters, best, best_p):
+def _sequential_engine(fn, brackets, iters, best, best_p, lookahead):
     """Reference for ``gls._golden_max``: the brackets one after another,
-    every point in its own objective call."""
+    every point in its own objective call; ``lookahead`` is ignored."""
     def scalar(p):
         return fn([p])[0]
 
@@ -342,26 +342,82 @@ class TestLockstepMatchesSequential:
             self._compare(monkeypatch, f, psi, grid, float(10.0 ** rng.uniform(-2, 2)),
                           rng.uniform(-2.0, 6.0))
 
+    @pytest.mark.parametrize("size", [68, 69, 146, 147, 341, 342])
+    def test_lookahead_depths(self, monkeypatch, size):
+        # the sizes on both sides of each step of gls_norm's lookahead rule
+        assert gls._lookahead(size) == {68: 4, 69: 3, 146: 3, 147: 2, 341: 2,
+                                        342: 1}[size]
+        rng = np.random.default_rng(size)
+        for psi in (make_power(1.0), make_power(2.0), make_boundary(3.0, 1.0, 1.0)):
+            grid = default_grid(psi, n_points=24)
+            for weights in (np.ones(size), rng.random(size) + 0.01):
+                f = GridFunction(MeasureSpace(weights), rng.standard_normal(size))
+                self._compare(monkeypatch, f, psi, grid, 2.0, 1.0)
+
     def test_engine_brackets(self):
-        # zero-width and reversed brackets are skipped, as the sequential
-        # search skipped them; depth 0 returns the incumbent
+        # every lookahead depth gives the sequential search's value and
+        # argmax bit for bit, for step counts that are and are not multiples
+        # of the depth; zero-width and reversed brackets are skipped, as the
+        # sequential search skipped them; depth 0 returns the incumbent
+        objectives = (
+            lambda p: math.sin(3.0 * p) - 0.1 * p,
+            lambda p: 1.0,  # every comparison ties
+            lambda p: float(math.floor(2.0 * p)),  # plateaus: ties on steps
+            lambda p: -math.inf if p < 2.5 else -abs(p - 5.0),  # -inf region
+            lambda p: -math.inf,
+        )
+        cases = [[(2.0, 2.0)], [(1.0, 3.0)], [(2.0, 2.0), (1.0, 3.0)],
+                 [(3.0, 1.0), (0.5, 0.9)], [(1.0, 1.5), (4.0, 7.0)],
+                 [(4.0, 7.0), (1.0, 1.5)], [(1.0, 4.0), (2.0, 6.0)]]
+        for scalar in objectives:
+            def fn(ps, scalar=scalar):
+                return [scalar(p) for p in ps]
+
+            for brackets in cases:
+                for iters in (0, 1, 2, 5, 40):
+                    for lookahead in (1, 2, 3, 4, 5):
+                        for best, best_p in ((-1e9, 0.0), (0.5, 2.0), (2.0, 9.0),
+                                             (-math.inf, 9.0)):
+                            got = gls._golden_max(fn, brackets, iters, best, best_p,
+                                                  lookahead)
+                            want = _sequential_engine(fn, brackets, iters, best,
+                                                      best_p, lookahead)
+                            assert _same(got[0], want[0]) and _same(got[1], want[1])
+        # one call for the first two points of each lane, then one per round
+        # of 2**d - 1 points per lane; a short last round speculates less
         calls = []
 
-        def fn(ps):
+        def logged(ps):
             calls.append(len(ps))
             return [math.sin(3.0 * p) - 0.1 * p for p in ps]
 
-        cases = [[(2.0, 2.0)], [(2.0, 2.0), (1.0, 3.0)], [(3.0, 1.0), (0.5, 0.9)],
-                 [(1.0, 1.5), (4.0, 7.0)], [(4.0, 7.0), (1.0, 1.5)]]
-        for brackets in cases:
-            for depth in (0, 1, 40):
-                for best, best_p in ((-1e9, 0.0), (0.5, 2.0), (2.0, 9.0)):
-                    got = gls._golden_max(fn, brackets, depth, best, best_p)
-                    want = _sequential_engine(fn, brackets, depth, best, best_p)
-                    assert _same(got[0], want[0]) and _same(got[1], want[1])
-        calls.clear()
-        gls._golden_max(fn, [(1.0, 1.5), (2.0, 2.0), (4.0, 7.0)], 40, -1e9, 0.0)
-        assert calls == [4] + [2] * 40
+        brackets = [(1.0, 1.5), (2.0, 2.0), (4.0, 7.0)]
+        for lookahead, iters, want in ((1, 40, [4] + [2] * 40),
+                                       (4, 40, [4] + [2 * 15] * 10),
+                                       (4, 6, [4, 2 * 15, 2 * 3])):
+            calls.clear()
+            gls._golden_max(logged, brackets, iters, -1e9, 0.0, lookahead)
+            assert calls == want
+
+    def test_gls_norm_refinement_calls(self, monkeypatch):
+        # four steps per kernel call on small functions, one on large ones
+        calls = []
+        engine = gls._golden_max
+
+        def counting(fn, brackets, iters, best, best_p, lookahead):
+            def counted(ps):
+                calls.append(len(ps))
+                return fn(ps)
+            return engine(counted, brackets, iters, best, best_p, lookahead)
+
+        monkeypatch.setattr(gls, "_golden_max", counting)
+        rng = np.random.default_rng(12)
+        psi = make_power(2.0)
+        grid = default_grid(psi)
+        for size, want in ((2, 1 + math.ceil(40 / 4)), (2000, 1 + 40)):
+            calls.clear()
+            gls_norm(GridFunction.on_counting(rng.standard_normal(size)), psi, grid)
+            assert len(calls) == want
 
 
 class TestCachedLogPath:

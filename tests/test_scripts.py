@@ -27,10 +27,12 @@ def test_script_writes_csv(tmp_path, script, args):
 
 
 def test_gate_sweep_counts_items(tmp_path):
-    """Two tails passes (30 items each) at two seeds, every gate met."""
+    """Two tails passes (30 items each) at two seeds, every gate met; the
+    records digest pins every value the 120 items computed."""
     proc = _run_script(tmp_path, "gate_sweep.py",
                        ["--workload", "tails", "--seeds", "3,7", "--passes", "0-1"])
-    assert proc.stdout.splitlines() == ["tails: 120 items at seeds 3,7, passes 0-1: 0 failed"]
+    assert proc.stdout.splitlines() == [
+        "tails: 120 items at seeds 3,7, passes 0-1: 0 failed, records 8a9ef10299d43246"]
 
 
 def _run_script(cwd, script, args):
