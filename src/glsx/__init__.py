@@ -2,9 +2,8 @@
 convex-conjugate tail bounds, and mixed Lq->Lp operator-norm verification."""
 
 from .measure import (INFINITY, GridFunction, MeasureSpace, as_exponent,
-                      grid_function_from_spec, grid_function_to_spec,
-                      is_infinite, load_grid_function, lp_norm, lp_norm_table,
-                      tail_function)
+                      grid_function_from_spec, is_infinite, load_grid_function,
+                      lp_norm, lp_norm_table, tail_function)
 from .genfun import (ExponentInterval, GeneratingFunction, constant_function,
                      generating_function_from_spec, make_boundary,
                      make_classical_grand, make_degenerate, make_power,
@@ -18,8 +17,7 @@ from .opnorm import (AscentResult, ExtrapolationReport, MatrixOperator,
                      MinimalConstantResult, OperatorBoundCertificate,
                      SigmaConditionReport, apply, check_sigma_condition,
                      inv_exponent, minimal_constant, op_norm_lower,
-                     op_norm_oracle, operator_from_spec, operator_to_spec,
-                     verify_theorem1)
+                     op_norm_oracle, operator_from_spec, verify_theorem1)
 from .magic import (ConventionReport, ConventionRow, MagicReport, MagicSquare,
                     check_super_exact, magic_norm_formula, make_doubly_even,
                     make_siamese, make_uniform_magic, square_from_spec,

@@ -36,6 +36,18 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 
+#: options several commands share: each command declares those it reads, every
+#: command takes --output and --format, and a config records all but --output
+_SHARED = {
+    "seed": dict(type=int, default=0),
+    "grid_points": dict(type=int, default=256),
+    "samples": dict(type=int, default=1000),
+    "tolerance": dict(type=float, default=None,
+                      help="relative tolerance override for asserted inequalities"),
+    "output": dict(default=None, help="report file path"),
+    "format": dict(choices=("json", "csv"), default="json"),
+}
+
 
 def _parse_exponent(token: str) -> float:
     token = token.strip().lower()
@@ -121,16 +133,8 @@ def _report(args, report: dict, table, line: str | None = None, ok: bool = True)
 
 
 def _config_dict(args, **extra) -> dict:
-    cfg = {
-        "subcommand": args.command,
-        "seed": args.seed,
-        "grid_points": args.grid_points,
-        "samples": args.samples,
-        "tolerance": args.tolerance,
-        "format": args.format,
-    }
-    cfg.update(extra)
-    return cfg
+    shared = {k: getattr(args, k) for k in _SHARED if k != "output" and hasattr(args, k)}
+    return {"subcommand": args.command, **shared, **extra}
 
 
 def _cmd_gls_norm(args) -> int:
@@ -348,25 +352,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--grid-points", type=int, default=256)
-        p.add_argument("--samples", type=int, default=1000)
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="relative tolerance override for asserted inequalities")
-        p.add_argument("--output", default=None, help="report file path")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def common(p: argparse.ArgumentParser, *shared: str) -> None:
+        for dest in (*shared, "output", "format"):
+            p.add_argument("--" + dest.replace("_", "-"), **_SHARED[dest])
 
     p = sub.add_parser("gls-norm", help="grand norm of a function")
     p.add_argument("--function", required=True)
     p.add_argument("--psi", required=True)
-    common(p)
+    common(p, "grid_points")
     p.set_defaults(fn=_cmd_gls_norm)
 
     p = sub.add_parser("fundamental", help="fundamental function value")
     p.add_argument("--psi", required=True)
     p.add_argument("--delta", type=float, required=True)
-    common(p)
+    common(p, "grid_points")
     p.set_defaults(fn=_cmd_fundamental)
 
     p = sub.add_parser("fenchel-tail", help="tail bounds from the conjugate")
@@ -375,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", required=True, help="comma list of thresholds >= e")
     p.add_argument("--normalize", action="store_true",
                    help="scale the function to unit grand norm first")
-    common(p)
+    common(p, "grid_points", "tolerance")
     p.set_defaults(fn=_cmd_fenchel_tail, format="csv")
 
     p = sub.add_parser("opnorm", help="q->p operator norm")
@@ -385,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--resolution", type=int, default=720)
-    common(p)
+    common(p, "seed")
     p.set_defaults(fn=_cmd_opnorm)
 
     p = sub.add_parser("minimal-constant", help="grid minimal certificate constant")
@@ -393,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--p-interval", required=True, help="a:b")
     p.add_argument("--q-interval", required=True, help="c:d")
-    common(p)
+    common(p, "seed", "grid_points", "samples")
     p.set_defaults(fn=_cmd_minimal_constant, grid_points=17, samples=32)
 
     p = sub.add_parser("verify-theorem1", help="grand-norm extrapolation inequality")
@@ -403,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--c", type=float, default=None, help="certificate constant")
     p.add_argument("--restarts", type=int, default=32)
-    common(p)
+    common(p, "seed", "grid_points", "samples", "tolerance")
     p.set_defaults(fn=_cmd_verify_theorem1, grid_points=17)
 
     p = sub.add_parser("verify-theorem2", help="moment-norm extrapolation inequality")
@@ -413,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--restarts", type=int, default=32)
-    common(p)
+    common(p, "seed", "grid_points", "samples", "tolerance")
     p.set_defaults(fn=_cmd_verify_theorem2, grid_points=17)
 
     def square(p: argparse.ArgumentParser) -> None:
@@ -447,7 +446,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:

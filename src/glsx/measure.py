@@ -309,13 +309,6 @@ def _spec_array(raw, label: str) -> np.ndarray:
         raise ValueError(f"{label} must be finite") from None
 
 
-def grid_function_to_spec(f: GridFunction) -> dict:
-    return {
-        "weights": [float(x) for x in f.space.weights],
-        "values": [float(x) for x in f.values],
-    }
-
-
 def load_grid_function(path) -> GridFunction:
     with open(Path(path), "r", encoding="utf-8") as fh:
         return grid_function_from_spec(json.load(fh))

@@ -116,14 +116,6 @@ def operator_from_spec(spec: dict) -> MatrixOperator:
     return MatrixOperator(e, space("nu", e.shape[1]), space("mu", e.shape[0]))
 
 
-def operator_to_spec(A: MatrixOperator) -> dict:
-    return {
-        "entries": [[float(x) for x in row] for row in A.entries],
-        "mu": [float(x) for x in A.target.weights],
-        "nu": [float(x) for x in A.source.weights],
-    }
-
-
 def apply(A: MatrixOperator, g: GridFunction) -> GridFunction:
     """Matrix application ``(Ag)_i = sum_j a(i, j) g_j``."""
     if g.space.size != A.source.size or not np.array_equal(g.space.weights, A.source.weights):

@@ -1,8 +1,11 @@
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
+import re
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -10,8 +13,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from glsx.cli import run
+from glsx.cli import build_parser, run
 from glsx.gls import exponent_grid
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -232,6 +237,28 @@ class TestBasicCommands:
         assert out["cbar"] == pytest.approx(8.660249280712561, rel=1e-15, abs=0.0)
 
 
+# every command's options but --output and --format, which all of them take;
+# the shared --seed, --grid-points, --samples and --tolerance only where read
+_VERIFY = {"--matrix", "--sigma", "--c", "--restarts", "--seed", "--grid-points",
+           "--samples", "--tolerance"}
+_SQUARE = {"--order", "--kind", "--alpha", "--resolution"}
+_OPTIONS = {
+    "gls-norm": {"--function", "--psi", "--grid-points"},
+    "fundamental": {"--psi", "--delta", "--grid-points"},
+    "fenchel-tail": {"--function", "--psi", "--t", "--normalize", "--grid-points",
+                     "--tolerance"},
+    "opnorm": {"--matrix", "--q", "--p", "--oracle", "--restarts", "--resolution",
+               "--seed"},
+    "minimal-constant": {"--matrix", "--sigma", "--p-interval", "--q-interval", "--seed",
+                         "--grid-points", "--samples"},
+    "verify-theorem1": {"--psi", "--nu", *_VERIFY},
+    "verify-theorem2": {"--w-norm", "--r-norm", *_VERIFY},
+    "magic": {"--validate", "--check-norms", "--convention", *_SQUARE},
+    "check-super-exact": {"--matrix", "--pairs", *_SQUARE},
+}
+_SHARED = {"--seed", "--grid-points", "--samples", "--tolerance"}
+
+
 # every subcommand that writes a report: its argv (input files named by their
 # fixture key), the exit code, and columns its CSV must hold
 _REPORTS = {
@@ -277,6 +304,46 @@ class TestReports:
         assert len(rows) >= 2 and columns <= set(rows[0])
         # lists (witnesses, violations, grids) appear only in the JSON
         assert not any(cell.startswith("[") for row in rows for cell in row)
+        # the config records the shared options its command declares, but --output
+        config = json.loads(open(out_path(inputs, "report.json")).read())["config"]
+        recorded = {"--" + key.replace("_", "-") for key in config}
+        assert recorded & _SHARED == _OPTIONS[argv[0]] & _SHARED
+        assert config["format"] == "json" and "output" not in config
+
+
+class TestOptions:
+    def test_each_command_declares_only_what_it_reads(self):
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        assert set(commands) == set(_OPTIONS)
+        declared = {name: {o for a in p._actions if not isinstance(a, argparse._HelpAction)
+                           for o in a.option_strings}
+                    for name, p in commands.items()}
+        assert declared == {name: {*opts, "--output", "--format"}
+                            for name, opts in _OPTIONS.items()}
+        assert sum(map(len, declared.values())) == 77
+
+    @pytest.mark.parametrize("argv", [
+        ["gls-norm", "--function", "f", "--psi", "psi", "--samples", "5"],
+        ["check-super-exact", "--order", "3", "--pairs", "1:2", "--seed", "1"],
+    ], ids=["gls-norm", "check-super-exact"])
+    def test_undeclared_option_is_a_usage_error(self, inputs, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run([inputs.get(token, token) for token in argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_commands_parse(self):
+        # README's CLI block names only options its commands declare
+        text = README.read_text(encoding="utf-8")
+        block = re.search(r"## CLI\n\n```sh\n(.*?)```", text, re.S).group(1)
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line.replace("[", "").replace("]", ""), comments=True)
+                    for line in lines if line.startswith("glsx ")]
+        assert {argv[1] for argv in commands} == set(_OPTIONS)
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])
 
 
 class TestVerifyCommands:
