@@ -444,7 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's exit: 2 on a usage error, 0 on --help
+        return exc.code
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")

@@ -38,7 +38,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -179,18 +179,16 @@ def _log_table(absx: np.ndarray) -> tuple:
     return mx, _log_stage(absx, mx)
 
 
-def _col_norms(X: np.ndarray, w: np.ndarray, ps: np.ndarray,
-               inf: Union[bool, np.ndarray]) -> tuple:
+def _col_norms(X: np.ndarray, w: np.ndarray, ps: np.ndarray, inf: bool) -> tuple:
     """``_row_norms(X.T, w, ps[:, None])[:, 0]`` bit for bit, by the
     kernel's arithmetic on the kernel's layout (``_root_stage`` on ``logs.T``
     gives these bits, 3-7% slower in the ascent), and the log table of
-    ``|X|`` (``None`` when ``inf`` is ``True``).  ``inf`` marks the columns
-    whose exponent is INFINITY: a boolean mask, or one bool when every
-    column's exponent is or none is, as the caller already knows.  Callers
-    hold ``np.errstate(divide="ignore", invalid="ignore")``: INFINITY
-    columns of a mask run the finite formula first."""
+    ``|X|`` (``None`` when ``inf``).  ``inf`` says whether every column's
+    exponent is INFINITY; otherwise none is, as in the ascent's
+    class-uniform groups.  Callers hold ``np.errstate(divide="ignore")``
+    for the log of a zero."""
     absx = np.abs(X, order="C" if X.shape[0] < _NARROW else "F")
-    if inf is True:
+    if inf:
         return absx.max(axis=0), None
     mx, logs = _log_table(absx)
     terms = np.exp(logs * ps)
@@ -199,8 +197,6 @@ def _col_norms(X: np.ndarray, w: np.ndarray, ps: np.ndarray,
     out = sums ** (1.0 / ps)
     np.sqrt(sums, out=out, where=ps == 2.0)  # as _root_stage roots every p = 2
     out *= mx
-    if inf is not False:
-        out[inf] = mx[inf]
     return out, logs
 
 

@@ -12,9 +12,11 @@ Norm estimation comes in two independent flavors:
   power iteration) from many starts; a signed operator adds the pullbacks
   of its target sign and basis vectors.  Every value is a computed ratio,
   so the result is a certified LOWER bound of the true operator norm.
-  Each side's exponent class (1, INFINITY or finite) is fixed per batch,
-  the target norm and duality map share one log table per product, and
-  start blocks are cached per integer seed (see ``_ascent_batch``).
+  An ascent batch runs in groups whose columns share the exponent class
+  (1, INFINITY or finite) of q and that of p, so each step evaluates one
+  formula per side; the target norm and duality map share one log table
+  per product, and start blocks are cached per integer seed (see
+  ``_ascent_batch``).
 * ``op_norm_oracle`` brute-forces the unit sphere of the source space with
   a dense angular grid, then polishes each pair's grid argmax with the same
   ascent.  It is restricted to small sources and is the reference the
@@ -42,7 +44,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -124,73 +126,50 @@ def apply(A: MatrixOperator, g: GridFunction) -> GridFunction:
 
 
 #: exponent classes of one batch side, each with its own duality-map formula
-_ONE, _INF, _FINITE = "one", "inf", "finite"
+_FINITE, _ONE, _INF = 0, 1, 2
 
 
-def _exponent_classes(ec: np.ndarray) -> list:
-    """``(class, column mask)`` of each class present among the exponents
-    ``ec`` of a batch side."""
-    one, inf = ec == 1.0, np.isinf(ec)
-    return [(c, m) for c, m in ((_ONE, one), (_INF, inf), (_FINITE, ~(one | inf))) if m.any()]
-
-
-def _inf_columns(parts: list) -> Union[bool, np.ndarray]:
-    """The INFINITY columns of a batch side, for ``measure._col_norms``,
-    from its ``_exponent_classes``: one bool when the side has one class,
-    else the INFINITY class's mask (``False`` when it has none)."""
-    if len(parts) == 1:
-        return parts[0][0] == _INF
-    return next((mask for cls, mask in parts if cls == _INF), False)
+def _exponent_classes(ec: np.ndarray) -> np.ndarray:
+    """The class of each exponent in ``ec``."""
+    return np.where(ec == 1.0, _ONE, np.where(np.isinf(ec), _INF, _FINITE))
 
 
 def _dual_target(H: np.ndarray, logs: Optional[np.ndarray], w: np.ndarray,
-                 pa: np.ndarray, parts: list) -> np.ndarray:
-    """Columnwise ascent direction of the weighted p-norm at H (unscaled).
-    Each class in ``parts`` (the ``_exponent_classes`` of ``pa``) runs on
-    the whole block, as no column depends on another, and is kept on its
-    own columns; ``logs`` is H's log table."""
-    U = None
-    for cls, mask in parts:
-        if cls == _ONE:
-            V = w[:, None] * np.sign(H)
-        elif cls == _INF:
-            k, j = np.abs(H).argmax(axis=0), np.arange(H.shape[1])
-            V = np.zeros_like(H)
-            V[k, j] = np.sign(H[k, j])
-        else:
-            V = w[:, None] * np.exp(logs * (pa - 1.0)) * np.sign(H)
-        U = V if U is None else np.where(mask, V, U)
-    return U
+                 pa: np.ndarray, cls: int) -> np.ndarray:
+    """Columnwise ascent direction of the weighted p-norm at H (unscaled),
+    for exponents ``pa`` of class ``cls``; ``logs`` is H's log table."""
+    if cls == _ONE:
+        return w[:, None] * np.sign(H)
+    if cls == _INF:
+        k, j = np.abs(H).argmax(axis=0), np.arange(H.shape[1])
+        U = np.zeros_like(H)
+        U[k, j] = np.sign(H[k, j])
+        return U
+    return w[:, None] * np.exp(logs * (pa - 1.0)) * np.sign(H)
 
 
-def _dual_source(Z: np.ndarray, w: np.ndarray, qa: np.ndarray, parts: list) -> np.ndarray:
-    """Columnwise maximizer of <z, g> over the weighted q-unit sphere, class
-    by class as in ``_dual_target``."""
-    G = None
-    for cls, mask in parts:
-        if cls == _ONE:
-            k, j = (np.abs(Z) / w[:, None]).argmax(axis=0), np.arange(Z.shape[1])
-            s = np.sign(Z[k, j])
-            V = np.zeros_like(Z)
-            V[k, j] = np.where(s == 0.0, 1.0, s) / w[k]
-        elif cls == _INF:
-            V = np.where(Z < 0.0, -1.0, 1.0)
-        else:
-            logs = _log_table(np.abs(Z) / w[:, None])[1]
-            B = np.exp(logs * (1.0 / (qa - 1.0))) * np.sign(Z)
-            norms = _col_norms(B, w, qa, _inf_columns(parts))[0]
-            V = B / np.where(norms == 0.0, 1.0, norms)
-        G = V if G is None else np.where(mask, V, G)
-    return G
+def _dual_source(Z: np.ndarray, w: np.ndarray, qa: np.ndarray, cls: int) -> np.ndarray:
+    """Columnwise maximizer of <z, g> over the weighted q-unit sphere, for
+    exponents ``qa`` of class ``cls``."""
+    if cls == _ONE:
+        k, j = (np.abs(Z) / w[:, None]).argmax(axis=0), np.arange(Z.shape[1])
+        s = np.sign(Z[k, j])
+        G = np.zeros_like(Z)
+        G[k, j] = np.where(s == 0.0, 1.0, s) / w[k]
+        return G
+    if cls == _INF:
+        return np.where(Z < 0.0, -1.0, 1.0)
+    logs = _log_table(np.abs(Z) / w[:, None])[1]
+    B = np.exp(logs * (1.0 / (qa - 1.0))) * np.sign(Z)
+    norms = _col_norms(B, w, qa, False)[0]
+    return B / np.where(norms == 0.0, 1.0, norms)
 
 
 def _ratios(H: np.ndarray, G: np.ndarray, mu: np.ndarray, nu: np.ndarray,
-            qa: np.ndarray, pa: np.ndarray, q_inf: Union[bool, np.ndarray],
-            p_inf: Union[bool, np.ndarray]) -> tuple:
+            qa: np.ndarray, pa: np.ndarray, q_inf: bool, p_inf: bool) -> tuple:
     """Columnwise ratios ``|H|_p / |G|_q`` of products ``H = A G`` (0 for a
-    zero column of G), and H's log table (``None`` if ``p_inf`` is
-    ``True``); ``q_inf`` and ``p_inf`` mark the INFINITY columns as
-    ``measure._col_norms`` takes them."""
+    zero column of G), and H's log table (``None`` if ``p_inf``);
+    ``q_inf`` and ``p_inf`` say whether a side's exponents are INFINITY."""
     gn = _col_norms(G, nu, qa, q_inf)[0]
     hn, logs = _col_norms(H, mu, pa, p_inf)
     return hn / np.where(gn > 0.0, gn, INFINITY), logs
@@ -217,10 +196,10 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     below ``tol``, when it stops improving for three steps (dual-map
     two-cycles at the corner exponents), or when its pullback dies.
 
-    Each side's exponent classes (1, INFINITY or finite) are found once per
-    batch; each class that an active column still has evaluates its formula
-    on the whole active block and keeps it on its own columns, and the
-    target norm and duality map share one ``log(|H|/M)`` table.
+    The columns are split by the exponent classes (1, INFINITY or finite)
+    of their q and p, and each group runs its own class-uniform ascent
+    (``_uniform_ascent``), so a step evaluates one formula per side, and
+    the target norm and duality map share one ``log(|H|/M)`` table.
 
     A column's value and witness do not depend on which columns, exponent
     classes or batch sizes share the call.  ``measure._col_norms`` gives
@@ -232,6 +211,20 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     targets of up to 12 points.  numpy's vector path for a product with one
     output row rounds by batch width, so those are summed term by term.
     """
+    group = 3 * _exponent_classes(qc) + _exponent_classes(pc)
+    best, best_G = np.zeros(G.shape[1]), np.empty(G.shape)
+    for key in np.unique(group):
+        cols = np.flatnonzero(group == key)
+        best[cols], best_G[:, cols] = _uniform_ascent(
+            E, mu, nu, G[:, cols], qc[cols], pc[cols], key // 3, key % 3, tol, max_iter)
+    return best, best_G
+
+
+def _uniform_ascent(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
+                    G: np.ndarray, qc: np.ndarray, pc: np.ndarray, q_cls: int,
+                    p_cls: int, tol: float, max_iter: int) -> tuple:
+    """``_ascent_batch`` for columns whose q are all of class ``q_cls`` and
+    whose p are all of class ``p_cls``."""
     def product(M: np.ndarray, X: np.ndarray) -> np.ndarray:
         if M.shape[0] == 1:
             return _term_products(M, X)
@@ -239,21 +232,13 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
             return (M @ X.repeat(2, axis=1))[:, :1]
         return M @ X
 
-    def classes(parts: list, ec: np.ndarray) -> list:  # of the active columns
-        return parts if len(parts) == 1 else _exponent_classes(ec)
-
-    def active(inf):  # a side's INFINITY columns among the active ones
-        return inf if isinstance(inf, bool) else inf[idx]
-
-    q_parts, p_parts = _exponent_classes(qc), _exponent_classes(pc)
-    q_inf, p_inf = _inf_columns(q_parts), _inf_columns(p_parts)
+    q_inf, p_inf = q_cls == _INF, p_cls == _INF
     n_cols = G.shape[1]
     best = np.zeros(n_cols)
     prev = np.full(n_cols, -1.0)
     no_improve = np.zeros(n_cols, dtype=int)
     idx = np.arange(n_cols)
-    # log(0) = -inf; a mixed side's formulas also run on other classes' columns
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):  # log(0) = -inf
         g0 = _col_norms(G, nu, qc, q_inf)[0]
         G = G / np.where(g0 > 0.0, g0, 1.0)
         best_G = G.copy()
@@ -261,7 +246,7 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
             Ga = G[:, idx]
             qa, pa = qc[idx], pc[idx]
             H = product(E, Ga)
-            ratio, logs = _ratios(H, Ga, mu, nu, qa, pa, active(q_inf), active(p_inf))
+            ratio, logs = _ratios(H, Ga, mu, nu, qa, pa, q_inf, p_inf)
 
             improved = ratio > best[idx]
             cols = idx[improved]
@@ -275,13 +260,13 @@ def _ascent_batch(E: np.ndarray, mu: np.ndarray, nu: np.ndarray,
             if not keep.any():
                 break
             logs = None if logs is None else logs[:, keep]
-            U = _dual_target(H[:, keep], logs, mu, pa[keep], classes(p_parts, pa[keep]))
+            U = _dual_target(H[:, keep], logs, mu, pa[keep], p_cls)
             Z = product(E.T, U)
             alive = np.abs(Z).max(axis=0) > 0.0
             idx = idx[keep][alive]
             if idx.size == 0:
                 break
-            G[:, idx] = _dual_source(Z[:, alive], nu, qc[idx], classes(q_parts, qc[idx]))
+            G[:, idx] = _dual_source(Z[:, alive], nu, qc[idx], q_cls)
     return best, best_G
 
 
@@ -358,7 +343,7 @@ def _corner_witnesses(A: MatrixOperator, q: float, p: float) -> Optional[np.ndar
     def dual(Z: np.ndarray) -> np.ndarray:  # maximizers of <z, g> on the q-sphere
         qa = np.full(Z.shape[1], q)
         with np.errstate(divide="ignore"):  # log(0) = -inf
-            return _dual_source(Z, nu, qa, _exponent_classes(qa))
+            return _dual_source(Z, nu, qa, _exponent_classes(qa)[0])
 
     if q == 1.0:
         return np.diag(1.0 / nu)
@@ -418,8 +403,7 @@ def op_norm_lower(A: MatrixOperator, q: float, p: float, restarts: int = 32,
     (``_pullback_starts``), which reach basins the others can miss.  Each
     start alternates a target-norm duality step, a transpose pullback, and
     a source-sphere projection until the ratio stagnates below ``tol``.  The
-    best ratio ever seen (with its witness) is returned.  One (q, p) pair
-    makes a class-uniform batch: a step evaluates one formula per side.
+    best ratio ever seen (with its witness) is returned.
     """
     q = as_exponent(q)
     p = as_exponent(p)
@@ -433,7 +417,7 @@ def op_norm_lower(A: MatrixOperator, q: float, p: float, restarts: int = 32,
     W = _corner_witnesses(A, q, p)
     if W is not None:
         qa, pa = np.full(W.shape[1], q), np.full(W.shape[1], p)
-        with np.errstate(divide="ignore", invalid="ignore"):  # log(0) = -inf
+        with np.errstate(divide="ignore"):  # log(0) = -inf
             ratio = _ratios(E @ W, W, mu, nu, qa, pa, is_infinite(q), is_infinite(p))[0]
         k = int(np.argmax(ratio))
         return AscentResult(float(ratio[k]), GridFunction(A.source, W[:, k].copy()),
@@ -827,6 +811,8 @@ def minimal_constant(A: MatrixOperator, sigma: float, p_grid: Sequence[float],
         raise ValueError("samples (random ascent starts per pair) must be >= 0")
     p_pts = sorted(as_exponent(p) for p in p_grid)
     q_pts = sorted(as_exponent(qv) for qv in q_grid)
+    if not (p_pts and q_pts):
+        raise ValueError("p_grid and q_grid must each hold at least one exponent")
     if not A.entries.any():
         return MinimalConstantResult(0.0, p_pts[0], q_pts[0])
     p_pts = _corner(p_pts, sigma, A.target, low=True)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from glsx.cli import build_parser, run
+from glsx.cli import EXIT_BAD_INPUT, EXIT_OK, build_parser, run
 from glsx.gls import exponent_grid
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -328,10 +328,16 @@ class TestOptions:
         ["check-super-exact", "--order", "3", "--pairs", "1:2", "--seed", "1"],
     ], ids=["gls-norm", "check-super-exact"])
     def test_undeclared_option_is_a_usage_error(self, inputs, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            run([inputs.get(token, token) for token in argv])
-        assert exc.value.code == 2
+        assert run([inputs.get(token, token) for token in argv]) == EXIT_BAD_INPUT
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_usage_errors_and_help_return_their_exit_codes(self, capsys):
+        assert run(["opnorm", "--q", "2", "--p", "2"]) == EXIT_BAD_INPUT  # no --matrix
+        assert "required" in capsys.readouterr().err
+        assert run(["no-such-command"]) == EXIT_BAD_INPUT
+        assert run(["--help"]) == EXIT_OK
+        assert run(["opnorm", "--help"]) == EXIT_OK
+        assert "--matrix" in capsys.readouterr().out
 
     def test_readme_commands_parse(self):
         # README's CLI block names only options its commands declare

@@ -204,11 +204,15 @@ class TestLpNormTable:
                 for i in range(X.shape[0]):
                     one = _row_norms(X[i:i + 1], w, ps if ps.ndim == 1 else ps[i:i + 1])
                     assert out[i].tobytes() == one[0].tobytes(), (i, ps.ndim)
-                if ps.ndim == 2:
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        cols = _col_norms(np.ascontiguousarray(X.T), w, ps[:, 0],
-                                          np.isinf(ps[:, 0]))[0]
-                    assert cols.tobytes() == out[:, 0].tobytes()
+                if ps.ndim == 2:  # each exponent class in its own call
+                    inf = np.isinf(ps[:, 0])
+                    for cls in (False, True):
+                        rows = np.flatnonzero(inf == cls)
+                        if rows.size:
+                            with np.errstate(divide="ignore"):
+                                cols = _col_norms(np.ascontiguousarray(X[rows].T), w,
+                                                  ps[rows, 0], cls)[0]
+                            assert cols.tobytes() == out[rows, 0].tobytes(), cls
 
     def test_zero_rows_and_empty_exponents(self):
         got = lp_norm_table([[0.0, 0.0], [3.0, -4.0]], [1.0, 1.0], [2.0, INFINITY])

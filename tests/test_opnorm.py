@@ -871,6 +871,14 @@ class TestMinimalConstant:
                                samples=8, seed=0).value
         assert val == pytest.approx(sq.alpha, rel=1e-12)
 
+    @pytest.mark.parametrize("entries", [[[1.0, 2.0], [3.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                             ids=["nonzero", "zero"])
+    def test_empty_grid_is_rejected(self, entries):
+        A = MatrixOperator.on_counting(entries)
+        for p_grid, q_grid in (([], [2.0]), ([2.0], []), ([], [])):
+            with pytest.raises(ValueError, match="at least one exponent"):
+                minimal_constant(A, 2.0, p_grid, q_grid)
+
     def test_cross_check_against_oracle(self):
         rng = np.random.default_rng(13)
         A = MatrixOperator.on_counting(rng.uniform(0, 1, (2, 2)))

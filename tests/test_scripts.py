@@ -1,5 +1,6 @@
 """Each experiment script runs to completion on tiny arguments and writes a
-CSV with a header and rows; the gate sweep runs a tiny pass range."""
+CSV with a header and rows; the gate sweep runs tiny pass ranges of each
+workload."""
 import csv
 import os
 import subprocess
@@ -33,6 +34,19 @@ def test_gate_sweep_counts_items(tmp_path):
                        ["--workload", "tails", "--seeds", "3,7", "--passes", "0-1"])
     assert proc.stdout.splitlines() == [
         "tails: 120 items at seeds 3,7, passes 0-1: 0 failed, records 8a9ef10299d43246"]
+
+
+@pytest.mark.parametrize("workload, passes, summary", [
+    ("oracle", "0-1", "836 items at seeds 3,7, passes 0-1: 0 failed, records 9e41ec6995a2652f"),
+    ("extrapolation", "0-0",
+     "48 items at seeds 3,7, passes 0-0: 0 failed, records 0d96b04c6c05bbd5"),
+])
+def test_gate_sweep_pins_opnorm_records(tmp_path, workload, passes, summary):
+    """The operator-norm workloads' records digest pins every ascent,
+    oracle and minimal-constant value their items compute, to the bit."""
+    proc = _run_script(tmp_path, "gate_sweep.py",
+                       ["--workload", workload, "--seeds", "3,7", "--passes", passes])
+    assert proc.stdout.splitlines() == [f"{workload}: {summary}"]
 
 
 def _run_script(cwd, script, args):
