@@ -9,7 +9,8 @@ bit-identical.
 
 ``verify_theorem2`` is the extrapolation-verification engine: it checks the
 moment-norm inequality for any pair of these norms, and the grand-norm
-check ``glsx.opnorm.verify_theorem1`` is its sup-kind special case.
+check ``glsx.opnorm.verify_theorem1`` is its sup-kind special case; calls
+with the same operator, grids, samples and seed share one read-only sampled table.
 """
 from __future__ import annotations
 
@@ -22,9 +23,9 @@ import numpy as np
 from .genfun import ExponentInterval, GeneratingFunction
 from .gls import (P_MAX, PGrid, SupResult, default_grid, exponent_grid,
                   fundamental_function, gls_norm, grid_from_points)
-from .measure import GridFunction, _row_norms, _spec_number, lp_norm_table
+from .measure import GridFunction, _spec_number, lp_norm_table
 from .opnorm import (ExtrapolationReport, MatrixOperator, OperatorBoundCertificate,
-                     _candidate_functions, minimal_constant)
+                     _sampled_norms, minimal_constant)
 
 
 def _trapezoid_weights(pts: np.ndarray) -> np.ndarray:
@@ -180,8 +181,16 @@ def verify_theorem2(A: MatrixOperator, cert: OperatorBoundCertificate,
     values, so the discrete inequality chain is exact up to the quality of
     the inner ascent.  Sup-kind endpoint flags are recorded in the report
     rather than raised; degenerate fundamental values and non-finite sampled
-    sides (overflow) raise ``ValueError``.
+    sides (overflow) raise ``ValueError``, as do, before any work, a ``seed``
+    or ``samples`` that is not an integer >= 0 and a negative or non-finite
+    ``cbar``.  Calls with the same operator, grids, samples and seed share
+    one read-only sampled table, also with ``check_sigma_condition``.
     """
+    for name, n in (("seed", seed), ("samples (random test functions)", samples)):
+        if not (isinstance(n, (int, np.integer)) and n >= 0):
+            raise ValueError(f"{name} must be an integer >= 0, got {n!r}")
+    if cbar is not None and not (cbar >= 0.0 and math.isfinite(cbar)):
+        raise ValueError(f"cbar must be a nonnegative finite real, got {cbar}")
     if not cert.witnessed:
         raise ValueError("certificate must be witnessed by check_sigma_condition first")
     if W.interval.as_tuple() != cert.p_interval.as_tuple():
@@ -204,11 +213,9 @@ def verify_theorem2(A: MatrixOperator, cert: OperatorBoundCertificate,
         cbar = minimal_constant(A, cert.sigma, p_pts, q_pts,
                                 samples=restarts, seed=seed).value
 
-    rng = np.random.default_rng(seed)
-    G = _candidate_functions(A.source.size, samples, rng)
-    H = G @ A.entries.T
-    lhs = W.profile_norms(_row_norms(H, A.target.weights, p_pts)) / phi_lhs
-    rhs = cbar * R.profile_norms(_row_norms(G, A.source.weights, q_pts)) / phi_rhs
+    G, PN, QN = _sampled_norms(A, p_pts, q_pts, samples, seed)
+    lhs = W.profile_norms(PN) / phi_lhs
+    rhs = cbar * R.profile_norms(QN) / phi_rhs
     if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
         raise ValueError("a sampled side of the inequality is not finite "
                          "(overflow); the check cannot be decided")

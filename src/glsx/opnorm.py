@@ -691,12 +691,30 @@ class OperatorBoundCertificate:
             raise ValueError("C must be a positive finite real")
 
 
-def _candidate_functions(n: int, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Random normal samples plus the deterministic extremal candidates."""
+def _sampled_norms(A: MatrixOperator, p_pts: np.ndarray, q_pts: np.ndarray,
+                   samples: int, seed) -> tuple:
+    """Read-only ``(G, |AG|_p, |G|_q)`` on ``samples`` seeded normal rows, the
+    constant and the basis functions.  Integer seeds go through a one-table
+    cache; any other seed may be random or unhashable (as in ``_ascent_starts``)."""
+    cached = isinstance(seed, (int, np.integer))
+    p, q = (np.asarray(pts, dtype=float).tobytes() for pts in (p_pts, q_pts))
+    return (_sampled_table if cached else _sampled_table.__wrapped__)(
+        A.entries.tobytes(), A.shape, A.target.weights.tobytes(),
+        A.source.weights.tobytes(), p, q, samples, int(seed) if cached else seed)
+
+
+@functools.lru_cache(maxsize=1)  # the calls that share a table run back to back
+def _sampled_table(E: bytes, shape: tuple, mu: bytes, nu: bytes, p: bytes, q: bytes,
+                   samples: int, seed) -> tuple:
     if samples < 0:
         raise ValueError(f"samples (random test functions) must be >= 0, got {samples}")
-    gs = rng.standard_normal((int(samples), n))
-    return np.vstack([gs, np.ones((1, n)), np.eye(n)])
+    G = np.vstack([np.random.default_rng(seed).standard_normal((int(samples), shape[1])),
+                   np.ones((1, shape[1])), np.eye(shape[1])])
+    PN = _row_norms(G @ np.frombuffer(E).reshape(shape).T, np.frombuffer(mu),
+                    np.frombuffer(p))
+    QN = _row_norms(G, np.frombuffer(nu), np.frombuffer(q))
+    G.flags.writeable = PN.flags.writeable = QN.flags.writeable = False
+    return G, PN, QN
 
 
 @dataclass(frozen=True)
@@ -718,7 +736,9 @@ def check_sigma_condition(A: MatrixOperator, cert: OperatorBoundCertificate,
 
     Sets ``cert.witnessed`` on success and reports the worst ratio of
     left- to right-hand side together with its witness.  A sampled norm or
-    factor that is not finite (overflow) raises ``ValueError``.
+    factor that is not finite (overflow) raises ``ValueError``.  Calls with the
+    same operator, grids, samples and integer seed share one read-only sampled
+    table with each other and with ``glsx.mri.verify_theorem2``.
     """
     p_pts = np.array([as_exponent(p) for p in p_grid])
     q_pts = np.array([as_exponent(qv) for qv in q_grid])
@@ -729,11 +749,7 @@ def check_sigma_condition(A: MatrixOperator, cert: OperatorBoundCertificate,
         if not (cert.q_interval.a <= qv < cert.q_interval.b or is_infinite(qv)):
             raise ValueError(f"q grid point {qv} outside certificate interval")
 
-    rng = np.random.default_rng(seed)
-    G = _candidate_functions(A.source.size, samples, rng)
-    H = G @ A.entries.T
-    PN = _row_norms(H, A.target.weights, p_pts)  # (S, P)
-    QN = _row_norms(G, A.source.weights, q_pts)  # (S, Q)
+    G, PN, QN = _sampled_norms(A, p_pts, q_pts, samples, seed)  # PN (S, P), QN (S, Q)
 
     inv_p = np.array([inv_exponent(p) for p in p_pts])
     inv_q = np.array([inv_exponent(qv) for qv in q_pts])

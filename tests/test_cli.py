@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -747,3 +748,39 @@ class TestDeterminism:
         assert run(["check-super-exact", "--order", "3", "--pairs", "1:2",
                     "--resolution", "60", "--output", out2]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+class TestReportBytes:
+    """sha256 of whole JSON reports of one weighted operator, pinned so a
+    change to how the verify commands sample and tabulate norms cannot move
+    a byte.  At 100 samples the certificate check (``min(samples, 200)``
+    samples) and the verification draw the same table; at 1000 they do not."""
+
+    DIGESTS = {
+        ("verify-theorem1", "100"): "fb6ecf29105a0f13449b2718a82ec0edb3da20f663ace98d8eb07a0bf3e9231a",
+        ("verify-theorem1", "1000"): "f3c84b0e491ad2fb9cceae5b6a4c4a3537b33986dce06b49d73839a2a9bcee85",
+        ("verify-theorem2", "100"): "90a07b1f6a2ffa13d8a973520552cdc368d820d57fb021019d055185b53228f7",
+        ("verify-theorem2", "1000"): "5ab97a7454547d8e9665ae821e32dd5288a78798f10ffb0d8a02885b8c6ed1d4",
+    }
+
+    @pytest.mark.parametrize("command, samples", sorted(DIGESTS))
+    def test_weighted_verify_report_digest(self, tmp_path, monkeypatch, capsys,
+                                           command, samples):
+        monkeypatch.chdir(tmp_path)  # the report records the input file names
+        specs = {"A.json": {"entries": [[8, 1, 6], [3, 5, 7], [4, 9, 2]],
+                            "mu": [0.5, 1.0, 2.0], "nu": [1.5, 0.25, 1.0]},
+                 "psi.json": {"kind": "boundary", "b": 8, "alpha": 0.5, "beta": 0.5,
+                              "domain": [4, 8]},
+                 "nu.json": {"kind": "boundary", "b": 2, "alpha": 0.5, "beta": 0.5},
+                 "W.json": {"kind": "integral", "s": 1, "weight": "const",
+                            "interval": [4, 8]},
+                 "R.json": {"kind": "integral", "s": 2, "weight": "const",
+                            "interval": [1, 2]}}
+        for name, spec in specs.items():
+            Path(name).write_text(json.dumps(spec))
+        norms = (["--psi", "psi.json", "--nu", "nu.json"] if command == "verify-theorem1"
+                 else ["--w-norm", "W.json", "--r-norm", "R.json"])
+        assert run([command, "--matrix", "A.json", *norms, "--sigma", "3",
+                    "--samples", samples, "--seed", "5", "--output", "report.json"]) == 0
+        digest = hashlib.sha256(Path("report.json").read_bytes()).hexdigest()
+        assert digest == self.DIGESTS[command, samples]

@@ -168,6 +168,33 @@ class TestVerifyTheorem2:
         f = GridFunction(A.source, np.zeros(A.source.size))
         assert mri_norm(f, R).value == 0.0
 
+    @pytest.mark.parametrize("cbar", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_bad_cbar_rejected(self, cbar):
+        # a negative constant would make every sample a false violation
+        A, cert, psi, nu, p_pts, q_pts = _magic_instance()
+        W = integral_mri_norm(cert.p_interval, s=1.0, points=p_pts)
+        R = integral_mri_norm(cert.q_interval, s=1.0, points=q_pts)
+        with pytest.raises(ValueError, match="cbar"):
+            verify_theorem2(A, cert, W, R, samples=10, seed=0, cbar=cbar)
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", None), ("seed", 1.5), ("seed", -1), ("seed", "3"),
+        ("samples", 10.7), ("samples", -1), ("samples", None), ("samples", 10.0)])
+    def test_seed_and_samples_checked_before_any_work(self, monkeypatch, name, value):
+        import glsx.mri
+        A, cert, psi, nu, p_pts, q_pts = _magic_instance()
+        W = integral_mri_norm(cert.p_interval, s=1.0, points=p_pts)
+        R = integral_mri_norm(cert.q_interval, s=1.0, points=q_pts)
+
+        def work(*args, **kwargs):
+            raise AssertionError("work ran before the inputs were checked")
+
+        monkeypatch.setattr(glsx.mri, "minimal_constant", work)
+        monkeypatch.setattr(glsx.mri, "_sampled_norms", work)
+        kwargs = {"samples": 10, "seed": 0, name: value}
+        with pytest.raises(ValueError, match=name):
+            verify_theorem2(A, cert, W, R, **kwargs)
+
     def test_interval_mismatch_rejected(self):
         A, cert, psi, nu, p_pts, q_pts = _magic_instance()
         W = integral_mri_norm(ExponentInterval(3.0, 8.0), s=1.0)

@@ -845,6 +845,93 @@ class TestSigmaCondition:
         assert rep.worst_ratio <= 1.0 + 1e-9
 
 
+def _reference_table(A, p_pts, q_pts, samples, seed):
+    """The sampled table as the verify engine and the sigma check built it
+    inline, uncached."""
+    n = A.source.size
+    G = np.random.default_rng(seed).standard_normal((samples, n))
+    G = np.vstack([G, np.ones((1, n)), np.eye(n)])
+    return (G, _row_norms(G @ A.entries.T, A.target.weights, np.asarray(p_pts, dtype=float)),
+            _row_norms(G, A.source.weights, np.asarray(q_pts, dtype=float)))
+
+
+def _weighted_operators():
+    rng = np.random.default_rng(41)
+    for m, n in ((1, 3), (2, 2), (3, 1), (4, 3), (3, 4)):
+        E = rng.uniform(-1.0, 2.0, (m, n))
+        yield MatrixOperator(E, MeasureSpace(rng.uniform(0.2, 3.0, n)),
+                             MeasureSpace(rng.uniform(0.2, 3.0, m)))
+
+
+class TestSampledNorms:
+    GRIDS = [(exponent_grid(4, 8, 17), exponent_grid(1, 2, 17)),
+             (np.array([1.0, 1.5, 2.0, 4.0, INFINITY]), np.array([INFINITY, 1.0, 3.0])),
+             (np.array([4, 6, 8]), [1, 2])]  # integer grids are read as exponents
+
+    def test_matches_uncached_reference_bit_for_bit(self):
+        for A in _weighted_operators():
+            for p_pts, q_pts in self.GRIDS:
+                for samples, seed in ((0, 3), (7, 0), (300, 11)):
+                    want = _reference_table(A, p_pts, q_pts, samples, seed)
+                    for key in (seed, np.int64(seed), np.random.SeedSequence(seed)):
+                        got = opnorm._sampled_norms(A, p_pts, q_pts, samples, key)
+                        for g, w in zip(got, want):
+                            assert g.tobytes() == w.tobytes() and g.shape == w.shape
+
+    def test_arrays_are_read_only(self):
+        A = next(_weighted_operators())
+        p_pts, q_pts = self.GRIDS[1]
+        for seed in (5, np.random.SeedSequence(5)):
+            for X in opnorm._sampled_norms(A, p_pts, q_pts, 10, seed):
+                with pytest.raises(ValueError, match="read-only"):
+                    X[0, 0] = 1.0
+
+    def test_verify_triple_samples_once(self):
+        from glsx import grid_from_points, integral_mri_norm, sup_mri_norm, verify_theorem2
+        from glsx.experiments import build_extrapolation_ensemble
+        inst = build_extrapolation_ensemble(count=5, seed=17)[4]
+        A, cert = inst.operator, inst.cert
+        opnorm._sampled_table.cache_clear()
+        verify_theorem1(A, cert, inst.psi, inst.nu, samples=1000, seed=inst.seed,
+                        p_points=inst.p_points, q_points=inst.q_points, cbar=inst.cbar)
+        W = integral_mri_norm(cert.p_interval, s=1.0, points=inst.p_points)
+        R = integral_mri_norm(cert.q_interval, s=1.0, points=inst.q_points)
+        verify_theorem2(A, cert, W, R, samples=1000, seed=inst.seed, cbar=inst.cbar)
+        Ws = sup_mri_norm(inst.psi, grid_from_points(cert.p_interval, inst.p_points,
+                                                     refinement_depth=0))
+        Rs = sup_mri_norm(inst.nu, grid_from_points(cert.q_interval, inst.q_points,
+                                                    refinement_depth=0))
+        verify_theorem2(A, cert, Ws, Rs, samples=1000, seed=inst.seed, cbar=inst.cbar)
+        info = opnorm._sampled_table.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_every_input_is_part_of_the_key(self):
+        A = MatrixOperator(np.array([[1.0, 2.0], [0.5, 3.0]]), MeasureSpace([1.0, 2.0]),
+                           MeasureSpace([0.5, 1.0]))
+        p_pts, q_pts = self.GRIDS[1]
+        base = (A, p_pts, q_pts, 20, 4)
+        opnorm._sampled_table.cache_clear()
+        opnorm._sampled_norms(*base)
+        opnorm._sampled_norms(*base)
+        assert opnorm._sampled_table.cache_info().hits == 1
+        variants = [
+            (A, p_pts, q_pts, 20, 5),
+            (A, p_pts, q_pts, 21, 4),
+            (A, p_pts[:-1], q_pts, 20, 4),
+            (A, p_pts, q_pts[1:], 20, 4),
+            (MatrixOperator(A.entries, MeasureSpace([1.0, 2.5]), A.target), p_pts, q_pts, 20, 4),
+            (MatrixOperator(A.entries, A.source, MeasureSpace([0.5, 1.5])), p_pts, q_pts, 20, 4),
+            (MatrixOperator(A.entries * 2.0, A.source, A.target), p_pts, q_pts, 20, 4),
+            (MatrixOperator(A.entries.T.copy(), A.target, A.source), p_pts, q_pts, 20, 4),
+        ]
+        for k, args in enumerate(variants):
+            want = _reference_table(*args)
+            got = opnorm._sampled_norms(*args)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+            info = opnorm._sampled_table.cache_info()
+            assert (info.misses, info.hits) == (2 + k, 1)
+
+
 def _interval(a, b):
     from glsx.genfun import ExponentInterval
     return ExponentInterval(a, b)
